@@ -61,17 +61,17 @@ pub fn select_stages(selectors: Option<&[String]>) -> (Vec<Stage>, Vec<String>) 
 
 /// Resolves benchmark names against the registry, returning the matched
 /// benchmarks plus the names that matched nothing. `None` selects the
-/// whole registry.
+/// standard suite; a name may also pick an FPVA size tier, which the
+/// default sweep leaves out.
 pub fn select_benchmarks(names: Option<&[String]>) -> (Vec<Benchmark>, Vec<String>) {
-    let registry = parchmint_suite::suite();
     let Some(names) = names else {
-        return (registry, Vec::new());
+        return (parchmint_suite::suite(), Vec::new());
     };
     let mut benchmarks = Vec::new();
     let mut unknown = Vec::new();
     for name in names {
-        match registry.iter().find(|b| b.name() == name.as_str()) {
-            Some(benchmark) => benchmarks.push(benchmark.clone()),
+        match parchmint_suite::by_name(name) {
+            Some(benchmark) => benchmarks.push(benchmark),
             None => unknown.push(name.clone()),
         }
     }
@@ -136,6 +136,14 @@ mod tests {
             .as_deref()
             .unwrap()
             .contains("teleport"));
+    }
+
+    #[test]
+    fn fpva_tiers_resolve_by_name() {
+        let matrix = resolve_matrix(Some(&["fpva_1k".to_string()]), None);
+        assert!(matrix.bad_cells.is_empty(), "{:?}", matrix.bad_cells);
+        assert_eq!(matrix.benchmarks.len(), 1);
+        assert_eq!(matrix.benchmarks[0].name(), "fpva_1k");
     }
 
     #[test]

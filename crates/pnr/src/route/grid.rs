@@ -1,23 +1,28 @@
-//! Maze routing: A* over a uniform routing grid with obstacle avoidance.
+//! Maze routing: sequential A* over a uniform routing grid.
 //!
 //! The classic Lee/A* formulation used by microfluidic routers: the die is
 //! discretized into square cells; placed component footprints (inflated by
 //! a clearance) block cells; each net is routed source→sink with a
 //! bend-penalized A*; routed channels block their cells for later nets.
 //! Nets are routed shortest-first, the standard ordering heuristic.
+//!
+//! The search itself is the shared kernel in `super::search`, run under
+//! its `Plain` cost policy: a cell is passable when no component and no
+//! committed net blocks it, or when the current net has freed it (its
+//! endpoint escape zones and its own earlier branches). One kernel scratch
+//! serves every net, sink and rip-up pass of a [`Router::route`] call.
 
-use super::{RoutedNet, Router, RoutingResult};
+use super::search::{Cost, Search};
+use super::{terminals, RoutedNet, Router, RoutingResult};
 use parchmint::geometry::{Point, Rect};
 use parchmint::{CompiledDevice, Device};
 use parchmint_resilience::Meter;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Meter interval for the A* search: the installed budget is probed once
 /// per this many heap pops, so cancellation stops the search within one
 /// interval. An interrupted search reports the net as failed; once the
-/// budget has tripped, every remaining net fails on its first pop, so the
-/// router drains quickly into a well-formed partial [`RoutingResult`].
+/// budget has tripped, every remaining net fails before its setup, so the
+/// router drains in O(nets) into a well-formed partial [`RoutingResult`].
 pub const ROUTE_CHECK_INTERVAL: u32 = 2048;
 
 /// Tuning knobs for [`AStarRouter`].
@@ -65,13 +70,14 @@ impl AStarRouter {
     }
 }
 
-pub(crate) const BLOCK_COMPONENT: u8 = 1;
+const BLOCK_COMPONENT: u8 = 1;
 const BLOCK_NET: u8 = 2;
 
 /// The shared routing lattice: die discretized into `cell`-sized squares
 /// with per-cell blockage flags. Built by the A* router and reused by the
 /// negotiated-congestion router (which layers its own occupancy and
 /// history arrays on top of the same geometry).
+#[derive(Clone)]
 pub(crate) struct RoutingGrid {
     pub(crate) cols: i64,
     pub(crate) rows: i64,
@@ -102,10 +108,6 @@ impl RoutingGrid {
             grid.block_rect(feature.footprint().inflated(clearance), BLOCK_COMPONENT);
         }
         grid
-    }
-
-    fn new(device: &Device, config: &GridRouterConfig) -> Self {
-        RoutingGrid::from_device(device, config.cell, config.clearance)
     }
 
     pub(crate) fn index(&self, cx: i64, cy: i64) -> usize {
@@ -167,96 +169,6 @@ impl RoutingGrid {
 }
 
 pub(crate) const DIRS: [(i64, i64); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
-
-/// A* from `start` to `goal` over the grid. `free_override` marks cells
-/// passable regardless of component blockage (endpoint escape zones and
-/// the net's own previously routed cells). `expanded` accumulates the
-/// number of heap pops (search effort) for trace counters.
-fn astar(
-    grid: &RoutingGrid,
-    config: &GridRouterConfig,
-    start: (i64, i64),
-    goal: (i64, i64),
-    free_override: &[bool],
-    expanded: &mut u64,
-    meter: &mut Meter,
-) -> Option<Vec<(i64, i64)>> {
-    let n = (grid.cols * grid.rows) as usize;
-    let state = |cell: usize, dir: usize| cell * 5 + dir;
-    let mut best = vec![u32::MAX; n * 5];
-    let mut prev: Vec<u32> = vec![u32::MAX; n * 5];
-    let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-
-    // A cell is passable when no other net owns it (unless this net does,
-    // via the override) and any component blockage is inside this net's
-    // endpoint escape zone.
-    let passable = |cell: usize| {
-        let flags = grid.blocked[cell];
-        if free_override[cell] {
-            return true;
-        }
-        flags == 0
-    };
-
-    let h = |cx: i64, cy: i64| -> u32 {
-        (((cx - goal.0).abs() + (cy - goal.1).abs()) as u32) * config.step_cost
-    };
-
-    let start_cell = grid.index(start.0, start.1);
-    let start_state = state(start_cell, 4);
-    best[start_state] = 0;
-    heap.push(Reverse((h(start.0, start.1), start_state as u32)));
-
-    while let Some(Reverse((_, s))) = heap.pop() {
-        if meter.check().is_err() {
-            return None;
-        }
-        *expanded += 1;
-        let s = s as usize;
-        let cell = s / 5;
-        let dir = s % 5;
-        let (cx, cy) = ((cell as i64) % grid.cols, (cell as i64) / grid.cols);
-        if (cx, cy) == goal {
-            // Reconstruct.
-            let mut path = vec![(cx, cy)];
-            let mut cur = s;
-            while prev[cur] != u32::MAX {
-                cur = prev[cur] as usize;
-                let c = cur / 5;
-                let p = ((c as i64) % grid.cols, (c as i64) / grid.cols);
-                if path.last() != Some(&p) {
-                    path.push(p);
-                }
-            }
-            path.reverse();
-            return Some(path);
-        }
-        let g = best[s];
-        for (d, (dx, dy)) in DIRS.iter().enumerate() {
-            let (nx, ny) = (cx + dx, cy + dy);
-            if !grid.in_bounds(nx, ny) {
-                continue;
-            }
-            let ncell = grid.index(nx, ny);
-            if !passable(ncell) {
-                continue;
-            }
-            let bend = if dir != 4 && dir != d {
-                config.bend_penalty
-            } else {
-                0
-            };
-            let ng = g + config.step_cost + bend;
-            let ns = state(ncell, d);
-            if ng < best[ns] {
-                best[ns] = ng;
-                prev[ns] = s as u32;
-                heap.push(Reverse((ng + h(nx, ny), ns as u32)));
-            }
-        }
-    }
-    None
-}
 
 /// Collapses collinear runs in a waypoint list.
 pub(crate) fn simplify(points: Vec<Point>) -> Vec<Point> {
@@ -330,30 +242,25 @@ impl Router for AStarRouter {
         };
         order.sort_by_key(|&i| estimate(i));
 
+        let empty = RoutingGrid::from_device(device, self.config.cell, self.config.clearance);
+        let mut search = Search::new(&empty, self.config.step_cost, self.config.bend_penalty);
+
         // Rip-up and re-route: when nets fail because earlier routes walled
         // them in, retry from scratch with the failed nets promoted to the
         // front of the order.
         let mut ripup_rounds = 0u64;
-        let mut best = self.route_in_order(compiled, &order);
+        let mut best = route_in_order(compiled, &empty, &order, &mut search);
         for _ in 0..self.config.reroute_attempts {
             // A tripped budget makes every further pass fail immediately;
             // keep the partial result from the pass that did real work.
             if best.failed.is_empty() || parchmint_resilience::interruption().is_some() {
                 break;
             }
-            let failed: Vec<usize> = order
-                .iter()
-                .copied()
-                .filter(|&i| best.failed.contains(&device.connections[i].id))
-                .collect();
-            let rest: Vec<usize> = order
-                .iter()
-                .copied()
-                .filter(|i| !failed.contains(i))
-                .collect();
-            order = failed.into_iter().chain(rest).collect();
+            // Failed nets first; the sort is stable, so each group keeps
+            // its order.
+            order.sort_by_key(|&i| !best.failed.contains(&device.connections[i].id));
             ripup_rounds += 1;
-            let retry = self.route_in_order(compiled, &order);
+            let retry = route_in_order(compiled, &empty, &order, &mut search);
             if retry.failed.len() < best.failed.len() {
                 best = retry;
             } else {
@@ -364,98 +271,95 @@ impl Router for AStarRouter {
             parchmint_obs::count("pnr.route.ripup_rounds", ripup_rounds);
             parchmint_obs::count("pnr.route.routed", best.routed.len() as u64);
             parchmint_obs::count("pnr.route.failed", best.failed.len() as u64);
+            parchmint_obs::count("pnr.route.expansions", search.expanded);
+            parchmint_obs::count("pnr.route.states_touched", search.touched);
         }
         best
     }
 }
 
-impl AStarRouter {
-    fn route_in_order(&self, compiled: &CompiledDevice, order: &[usize]) -> RoutingResult {
-        let device = compiled.device();
-        let mut grid = RoutingGrid::new(device, &self.config);
-        let mut result = RoutingResult::default();
-        let n_cells = (grid.cols * grid.rows) as usize;
-        let tracing = parchmint_obs::enabled();
-        let mut total_expanded = 0u64;
-        let mut meter = Meter::new(ROUTE_CHECK_INTERVAL);
-        for &i in order {
-            let connection = &device.connections[i];
-            let Some(src) = compiled.target_position(&connection.source) else {
-                result.failed.push(connection.id.clone());
-                continue;
+/// One sequential pass over `order` on a fresh copy of `empty`: each
+/// routed net blocks its cells for every later net.
+fn route_in_order(
+    compiled: &CompiledDevice,
+    empty: &RoutingGrid,
+    order: &[usize],
+    search: &mut Search,
+) -> RoutingResult {
+    let device = compiled.device();
+    let mut grid = empty.clone();
+    let mut result = RoutingResult::default();
+    let tracing = parchmint_obs::enabled();
+    let mut meter = Meter::new(ROUTE_CHECK_INTERVAL);
+    for &i in order {
+        let connection = &device.connections[i];
+        // Once the budget has tripped, the remaining nets fail without
+        // setup or search.
+        let placed = match parchmint_resilience::interruption() {
+            None => terminals(compiled, connection),
+            Some(_) => None,
+        };
+        let Some((src, sinks)) = placed else {
+            result.failed.push(connection.id.clone());
+            continue;
+        };
+
+        let src_cell = grid.cell_of(src);
+        search.clear_free();
+        for c in grid.disc(src_cell, 2) {
+            search.free(c);
+        }
+
+        let mut branches: Vec<Vec<Point>> = Vec::with_capacity(sinks.len());
+        let mut net_cells: Vec<usize> = Vec::new();
+        let expanded_before = search.expanded;
+        let mut ok = true;
+        for &sink in &sinks {
+            let sink_cell = grid.cell_of(sink);
+            for c in grid.disc(sink_cell, 2) {
+                search.free(c);
+            }
+            let cost = Cost::Plain {
+                blocked: &grid.blocked,
             };
-            let sinks: Vec<Point> = connection
-                .sinks
-                .iter()
-                .filter_map(|s| compiled.target_position(s))
-                .collect();
-            if sinks.len() != connection.sinks.len() || sinks.is_empty() {
-                result.failed.push(connection.id.clone());
-                continue;
-            }
-
-            let src_cell = grid.cell_of(src);
-            let mut free_override = vec![false; n_cells];
-            for c in grid.disc(src_cell, 2) {
-                free_override[c] = true;
-            }
-
-            let mut branches: Vec<Vec<Point>> = Vec::with_capacity(sinks.len());
-            let mut net_cells: Vec<usize> = Vec::new();
-            let mut net_expanded = 0u64;
-            let mut ok = true;
-            for &sink in &sinks {
-                let sink_cell = grid.cell_of(sink);
-                for c in grid.disc(sink_cell, 2) {
-                    free_override[c] = true;
-                }
-                // The net's own cells are free for later branches (merging).
-                match astar(
-                    &grid,
-                    &self.config,
-                    src_cell,
-                    sink_cell,
-                    &free_override,
-                    &mut net_expanded,
-                    &mut meter,
-                ) {
-                    Some(cells) => {
-                        branches.push(to_waypoints(&grid, src, sink, &cells));
-                        for (cx, cy) in cells {
-                            let idx = grid.index(cx, cy);
-                            net_cells.push(idx);
-                            free_override[idx] = true;
-                        }
-                    }
-                    None => {
-                        ok = false;
-                        break;
+            match search.run(cost, src_cell, sink_cell, None, &mut meter) {
+                Some(cells) => {
+                    branches.push(to_waypoints(&grid, src, sink, &cells));
+                    // The net's own cells are free for later branches
+                    // (merging).
+                    for (cx, cy) in cells {
+                        let idx = grid.index(cx, cy);
+                        net_cells.push(idx);
+                        search.free(idx);
                     }
                 }
-            }
-
-            total_expanded += net_expanded;
-            if tracing {
-                parchmint_obs::observe("pnr.route.net_expansions", net_expanded);
-            }
-            if ok {
-                for idx in net_cells {
-                    grid.blocked[idx] |= BLOCK_NET;
+                None => {
+                    ok = false;
+                    break;
                 }
-                result.routed.push(RoutedNet {
-                    connection: connection.id.clone(),
-                    layer: connection.layer.clone(),
-                    branches,
-                });
-            } else {
-                result.failed.push(connection.id.clone());
             }
         }
+
         if tracing {
-            parchmint_obs::count("pnr.route.expansions", total_expanded);
+            parchmint_obs::observe(
+                "pnr.route.net_expansions",
+                search.expanded - expanded_before,
+            );
         }
-        result
+        if ok {
+            for idx in net_cells {
+                grid.blocked[idx] |= BLOCK_NET;
+            }
+            result.routed.push(RoutedNet {
+                connection: connection.id.clone(),
+                layer: connection.layer.clone(),
+                branches,
+            });
+        } else {
+            result.failed.push(connection.id.clone());
+        }
     }
+    result
 }
 
 #[cfg(test)]

@@ -2,10 +2,11 @@
 
 pub mod grid;
 pub mod negotiate;
+mod search;
 pub mod straight;
 
 use parchmint::geometry::Point;
-use parchmint::{CompiledDevice, ConnectionFeature, ConnectionId, Device, LayerId};
+use parchmint::{CompiledDevice, Connection, ConnectionFeature, ConnectionId, Device, LayerId};
 
 /// Default channel width written into route features, in µm.
 pub const CHANNEL_WIDTH: i64 = 200;
@@ -104,6 +105,21 @@ impl RoutingResult {
         }
         device.bump_version_to_content();
     }
+}
+
+/// A net's placed terminals: the source position and one position per
+/// sink, or `None` when a terminal is unplaced or the net has no sinks.
+pub(crate) fn terminals(
+    compiled: &CompiledDevice,
+    connection: &Connection,
+) -> Option<(Point, Vec<Point>)> {
+    let src = compiled.target_position(&connection.source)?;
+    let sinks: Vec<Point> = connection
+        .sinks
+        .iter()
+        .map(|s| compiled.target_position(s))
+        .collect::<Option<_>>()?;
+    (!sinks.is_empty()).then_some((src, sinks))
 }
 
 /// A routing algorithm. Requires a placed device (component features

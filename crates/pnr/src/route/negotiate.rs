@@ -11,29 +11,31 @@
 //! cannot: no single routing order has to be right, because the prices
 //! carry information between passes.
 //!
-//! Two raw-speed features keep dense FPVA-class grids tractable:
-//! component blockage is a bit-packed mask (one bit per cell, 64 cells per
-//! word), and each net's expansion is bounded to its terminal bounding box
-//! inflated by a margin, widening to the whole grid only when the bounded
-//! pass fails.
+//! Every search is the shared kernel in `super::search`, under its
+//! `Negotiated` cost policy while negotiating and its `Hard` policy while
+//! hardening; a net's endpoint escape zones and its own earlier branches
+//! are passable at no cost under both. Each net's expansion is first
+//! bounded to its terminal bounding box inflated by a margin, widening to
+//! the whole grid only when the bounded pass fails. One kernel scratch
+//! serves every net, iteration and hardening search of a
+//! [`Router::route`] call, so a search costs what it expands, not the grid.
 //!
 //! The returned routing is always *legal* (cell-disjoint outside endpoint
 //! escape zones): after negotiation a hardening pass keeps every net whose
 //! route is conflict-free and re-routes the rest with hard blocking,
 //! failing the ones that no longer fit. Budget interruption
-//! (deadline/fuel/cancel) is metered inside the search loop; a tripped
-//! budget stops negotiation, makes every hardening re-search fail
-//! instantly, and so falls back to exactly the conflict-free subset of the
-//! last completed iteration — the caller always receives the best fully
-//! legal routing reached so far.
+//! (deadline/fuel/cancel) is metered inside the search loop and checked
+//! before each net; a tripped budget stops negotiation, fails every
+//! hardening re-route without searching, and so falls back to exactly the
+//! conflict-free subset of the last completed iteration — the caller
+//! always receives the best fully legal routing reached so far.
 
-use super::grid::{to_waypoints, RoutingGrid, BLOCK_COMPONENT, DIRS, ROUTE_CHECK_INTERVAL};
-use super::{RoutedNet, Router, RoutingResult};
+use super::grid::{to_waypoints, RoutingGrid, ROUTE_CHECK_INTERVAL};
+use super::search::{Cost, Search, Window};
+use super::{terminals, RoutedNet, Router, RoutingResult};
 use parchmint::geometry::Point;
 use parchmint::{CompiledDevice, ConnectionId};
 use parchmint_resilience::Meter;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Tuning knobs for [`NegotiatedRouter`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,28 +94,6 @@ impl NegotiatedRouter {
     }
 }
 
-/// One bit per grid cell, 64 cells per word.
-struct BitGrid {
-    words: Vec<u64>,
-}
-
-impl BitGrid {
-    fn new(cells: usize) -> Self {
-        BitGrid {
-            words: vec![0; cells.div_ceil(64)],
-        }
-    }
-
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> bool {
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
-    }
-}
-
 /// Per-net negotiation state.
 struct NetState {
     /// Index into `device.connections` (declaration order).
@@ -122,9 +102,10 @@ struct NetState {
     sinks: Vec<Point>,
     src_cell: (i64, i64),
     sink_cells: Vec<(i64, i64)>,
-    /// Escape-zone cells around the net's own terminals: passable despite
-    /// component blockage and never charged to this net's occupancy, so
-    /// nets sharing a port do not fight over the cells in front of it.
+    /// Escape-zone cells around the net's own terminals (overlapping discs
+    /// repeat cells): passable despite component blockage and never
+    /// charged to this net's occupancy, so nets sharing a port do not fight
+    /// over the cells in front of it.
     escape: Vec<usize>,
     /// Path cells currently claimed in the occupancy map, deduped, escape
     /// cells excluded.
@@ -134,124 +115,17 @@ struct NetState {
     routed: bool,
 }
 
-/// Expansion window in cell coordinates: `(x0, y0, x1, y1)` inclusive.
-type Window = (i64, i64, i64, i64);
-
 struct Negotiation<'a> {
     grid: &'a RoutingGrid,
     config: &'a NegotiatedRouterConfig,
-    /// Bit-packed component blockage (clearance-inflated footprints).
-    obstacles: BitGrid,
     /// Number of nets currently claiming each cell.
     occupancy: Vec<u32>,
     /// Accumulated per-cell history cost across iterations.
     history: Vec<u32>,
-    /// Total heap pops across all searches (trace counter).
-    expanded: u64,
+    search: Search,
 }
 
 impl Negotiation<'_> {
-    /// A* over the grid with negotiated costs. In negotiation mode
-    /// (`hard == false`) occupied cells stay passable but cost
-    /// `occupancy * pres_fac + history` extra; in hardening mode occupied
-    /// cells are impassable and no negotiation costs apply. `window`
-    /// bounds the expansion; `free_override` marks this net's endpoint
-    /// escape zones and its own already-routed cells.
-    #[allow(clippy::too_many_arguments)] // the one shared search kernel
-    fn search(
-        &mut self,
-        start: (i64, i64),
-        goal: (i64, i64),
-        free_override: &[bool],
-        pres_fac: u32,
-        window: Option<Window>,
-        hard: bool,
-        meter: &mut Meter,
-    ) -> Option<Vec<(i64, i64)>> {
-        let grid = self.grid;
-        let config = self.config;
-        let n = (grid.cols * grid.rows) as usize;
-        let state = |cell: usize, dir: usize| cell * 5 + dir;
-        let mut best = vec![u32::MAX; n * 5];
-        let mut prev: Vec<u32> = vec![u32::MAX; n * 5];
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-
-        let in_window = |cx: i64, cy: i64| match window {
-            Some((x0, y0, x1, y1)) => cx >= x0 && cy >= y0 && cx <= x1 && cy <= y1,
-            None => true,
-        };
-        let h = |cx: i64, cy: i64| -> u32 {
-            (((cx - goal.0).abs() + (cy - goal.1).abs()) as u32) * config.step_cost
-        };
-
-        let start_state = state(grid.index(start.0, start.1), 4);
-        best[start_state] = 0;
-        heap.push(Reverse((h(start.0, start.1), start_state as u32)));
-
-        while let Some(Reverse((_, s))) = heap.pop() {
-            if meter.check().is_err() {
-                return None;
-            }
-            self.expanded += 1;
-            let s = s as usize;
-            let cell = s / 5;
-            let dir = s % 5;
-            let (cx, cy) = ((cell as i64) % grid.cols, (cell as i64) / grid.cols);
-            if (cx, cy) == goal {
-                let mut path = vec![(cx, cy)];
-                let mut cur = s;
-                while prev[cur] != u32::MAX {
-                    cur = prev[cur] as usize;
-                    let c = cur / 5;
-                    let p = ((c as i64) % grid.cols, (c as i64) / grid.cols);
-                    if path.last() != Some(&p) {
-                        path.push(p);
-                    }
-                }
-                path.reverse();
-                return Some(path);
-            }
-            let g = best[s];
-            for (d, (dx, dy)) in DIRS.iter().enumerate() {
-                let (nx, ny) = (cx + dx, cy + dy);
-                if !grid.in_bounds(nx, ny) || !in_window(nx, ny) {
-                    continue;
-                }
-                let ncell = grid.index(nx, ny);
-                if !free_override[ncell] {
-                    if self.obstacles.get(ncell) {
-                        continue;
-                    }
-                    if hard && self.occupancy[ncell] > 0 {
-                        continue;
-                    }
-                }
-                let congestion = if hard || free_override[ncell] {
-                    0
-                } else {
-                    self.history[ncell]
-                        .saturating_add(self.occupancy[ncell].saturating_mul(pres_fac))
-                };
-                let bend = if dir != 4 && dir != d {
-                    config.bend_penalty
-                } else {
-                    0
-                };
-                let ng = g
-                    .saturating_add(config.step_cost)
-                    .saturating_add(bend)
-                    .saturating_add(congestion);
-                let ns = state(ncell, d);
-                if ng < best[ns] {
-                    best[ns] = ng;
-                    prev[ns] = s as u32;
-                    heap.push(Reverse((ng.saturating_add(h(nx, ny)), ns as u32)));
-                }
-            }
-        }
-        None
-    }
-
     /// Routes every sink of one net, bounded-then-unbounded, returning the
     /// waypoint branches and the deduped non-escape path cells. The net
     /// must already be ripped up (its cells out of the occupancy map).
@@ -262,48 +136,40 @@ impl Negotiation<'_> {
         hard: bool,
         meter: &mut Meter,
     ) -> Option<(Vec<Vec<Point>>, Vec<usize>)> {
-        let n = (self.grid.cols * self.grid.rows) as usize;
         // Escape cells start out free, so the commit loop below never
         // charges them to this net's occupancy.
-        let mut free_override = vec![false; n];
+        self.search.clear_free();
         for &c in &net.escape {
-            free_override[c] = true;
+            self.search.free(c);
         }
 
+        let (blocked, occupancy) = (&self.grid.blocked[..], &self.occupancy[..]);
+        let cost = if hard {
+            Cost::Hard { blocked, occupancy }
+        } else {
+            Cost::Negotiated {
+                blocked,
+                occupancy,
+                history: &self.history,
+                pres_fac,
+            }
+        };
         let mut branches = Vec::with_capacity(net.sinks.len());
         let mut cells: Vec<usize> = Vec::new();
         for (sink, &sink_cell) in net.sinks.iter().zip(&net.sink_cells) {
             let window = self.window_for(net.src_cell, sink_cell);
-            let found = self
-                .search(
-                    net.src_cell,
-                    sink_cell,
-                    &free_override,
-                    pres_fac,
-                    Some(window),
-                    hard,
-                    meter,
-                )
-                .or_else(|| {
-                    // The bounded pass can fail inside a congested window
-                    // even though free silicon exists outside it; widen to
-                    // the whole grid before giving up on the sink.
-                    self.search(
-                        net.src_cell,
-                        sink_cell,
-                        &free_override,
-                        pres_fac,
-                        None,
-                        hard,
-                        meter,
-                    )
-                })?;
+            let search = &mut self.search;
+            let found = search
+                .run(cost, net.src_cell, sink_cell, Some(window), meter)
+                // The bounded pass can fail inside a congested window even
+                // though free silicon exists outside it; widen to the whole
+                // grid before giving up on the sink.
+                .or_else(|| search.run(cost, net.src_cell, sink_cell, None, meter))?;
             branches.push(to_waypoints(self.grid, net.src, *sink, &found));
             for (cx, cy) in found {
                 let idx = self.grid.index(cx, cy);
                 // Own cells become free for later branches (trunk sharing).
-                if !free_override[idx] {
-                    free_override[idx] = true;
+                if self.search.free(idx) {
                     cells.push(idx);
                 }
             }
@@ -358,41 +224,25 @@ impl Router for NegotiatedRouter {
     fn route(&self, compiled: &CompiledDevice) -> RoutingResult {
         parchmint_resilience::fault::inject("pnr.route");
         let device = compiled.device();
+        // Negotiation never commits nets into the grid, so `blocked` holds
+        // only component footprints throughout.
         let grid = RoutingGrid::from_device(device, self.config.cell, self.config.clearance);
         let n_cells = (grid.cols * grid.rows) as usize;
-
-        let mut obstacles = BitGrid::new(n_cells);
-        for (i, &flags) in grid.blocked.iter().enumerate() {
-            if flags & BLOCK_COMPONENT != 0 {
-                obstacles.set(i);
-            }
-        }
 
         // Per-net state; nets with unplaced terminals fail up front.
         let mut failed: Vec<(usize, ConnectionId)> = Vec::new();
         let mut nets: Vec<NetState> = Vec::new();
         for (i, connection) in device.connections.iter().enumerate() {
-            let Some(src) = compiled.target_position(&connection.source) else {
+            let Some((src, sinks)) = terminals(compiled, connection) else {
                 failed.push((i, connection.id.clone()));
                 continue;
             };
-            let sinks: Vec<Point> = connection
-                .sinks
-                .iter()
-                .filter_map(|s| compiled.target_position(s))
-                .collect();
-            if sinks.len() != connection.sinks.len() || sinks.is_empty() {
-                failed.push((i, connection.id.clone()));
-                continue;
-            }
             let src_cell = grid.cell_of(src);
             let sink_cells: Vec<(i64, i64)> = sinks.iter().map(|&p| grid.cell_of(p)).collect();
             let mut escape = grid.disc(src_cell, 2);
             for &sc in &sink_cells {
                 escape.extend(grid.disc(sc, 2));
             }
-            escape.sort_unstable();
-            escape.dedup();
             nets.push(NetState {
                 conn: i,
                 src,
@@ -418,10 +268,9 @@ impl Router for NegotiatedRouter {
         let mut negotiation = Negotiation {
             grid: &grid,
             config: &self.config,
-            obstacles,
             occupancy: vec![0; n_cells],
             history: vec![0; n_cells],
-            expanded: 0,
+            search: Search::new(&grid, self.config.step_cost, self.config.bend_penalty),
         };
         let mut meter = Meter::new(ROUTE_CHECK_INTERVAL);
         let tracing = parchmint_obs::enabled();
@@ -441,6 +290,9 @@ impl Router for NegotiatedRouter {
                 .min(1 << 20);
             for net in nets.iter_mut() {
                 negotiation.rip_up(net);
+                if parchmint_resilience::interruption().is_some() {
+                    continue;
+                }
                 if let Some((branches, cells)) =
                     negotiation.route_net(net, pres_fac, false, &mut meter)
                 {
@@ -466,63 +318,60 @@ impl Router for NegotiatedRouter {
         // Hardening: keep every conflict-free net as-is, re-route the rest
         // with hard blocking (occupied cells impassable), fail what no
         // longer fits. After convergence this is a no-op sweep; after an
-        // interruption the tripped meter makes every re-search fail
-        // instantly, so exactly the conflict-free subset of the last
-        // completed iteration survives.
+        // interruption every re-route fails without searching, so exactly
+        // the conflict-free subset of the last completed iteration survives.
         let keep: Vec<bool> = nets
             .iter()
             .map(|net| net.routed && net.cells.iter().all(|&c| negotiation.occupancy[c] == 1))
             .collect();
-        negotiation.occupancy = vec![0; n_cells];
-        for (net, &kept) in nets.iter().zip(&keep) {
-            if kept {
-                for &c in &net.cells {
-                    negotiation.occupancy[c] += 1;
-                }
+        for (net, &kept) in nets.iter_mut().zip(&keep) {
+            if !kept {
+                negotiation.rip_up(net);
             }
         }
         let mut routed: Vec<(usize, RoutedNet)> = Vec::with_capacity(nets.len());
         let mut hard_rerouted = 0u64;
         for (i, net) in nets.iter().enumerate() {
             let connection = &device.connections[net.conn];
-            if keep[i] {
-                routed.push((
-                    net.conn,
-                    RoutedNet {
-                        connection: connection.id.clone(),
-                        layer: connection.layer.clone(),
-                        branches: net.branches.clone(),
-                    },
-                ));
-                continue;
-            }
-            match negotiation.route_net(net, 0, true, &mut meter) {
-                Some((branches, cells)) => {
-                    hard_rerouted += 1;
-                    for &c in &cells {
-                        negotiation.occupancy[c] += 1;
-                    }
-                    routed.push((
-                        net.conn,
-                        RoutedNet {
-                            connection: connection.id.clone(),
-                            layer: connection.layer.clone(),
-                            branches,
-                        },
-                    ));
+            let branches = if keep[i] {
+                net.branches.clone()
+            } else {
+                let rerouted = match parchmint_resilience::interruption() {
+                    None => negotiation.route_net(net, 0, true, &mut meter),
+                    Some(_) => None,
+                };
+                let Some((branches, cells)) = rerouted else {
+                    failed.push((net.conn, connection.id.clone()));
+                    continue;
+                };
+                hard_rerouted += 1;
+                for &c in &cells {
+                    negotiation.occupancy[c] += 1;
                 }
-                None => failed.push((net.conn, connection.id.clone())),
-            }
+                branches
+            };
+            routed.push((
+                net.conn,
+                RoutedNet {
+                    connection: connection.id.clone(),
+                    layer: connection.layer.clone(),
+                    branches,
+                },
+            ));
         }
 
         if tracing {
             parchmint_obs::count("pnr.route.negotiate.iterations", iterations);
-            parchmint_obs::count("pnr.route.negotiate.expansions", negotiation.expanded);
+            parchmint_obs::count(
+                "pnr.route.negotiate.expansions",
+                negotiation.search.expanded,
+            );
             parchmint_obs::count("pnr.route.negotiate.hard_rerouted", hard_rerouted);
             parchmint_obs::count("pnr.route.ripup_rounds", iterations.saturating_sub(1));
             parchmint_obs::count("pnr.route.routed", routed.len() as u64);
             parchmint_obs::count("pnr.route.failed", failed.len() as u64);
-            parchmint_obs::count("pnr.route.expansions", negotiation.expanded);
+            parchmint_obs::count("pnr.route.expansions", negotiation.search.expanded);
+            parchmint_obs::count("pnr.route.states_touched", negotiation.search.touched);
         }
 
         // Report in connection declaration order, like the other routers.

@@ -7,7 +7,7 @@
 //! naive strategy the maze router is measured against: fast, minimal
 //! wirelength when it succeeds, but completion collapses as density grows.
 
-use super::{RoutedNet, Router, RoutingResult};
+use super::{terminals, RoutedNet, Router, RoutingResult};
 use parchmint::geometry::{Point, Rect, Span};
 use parchmint::CompiledDevice;
 
@@ -84,19 +84,10 @@ impl Router for StraightRouter {
         let mut accepted_segments: Vec<(Point, Point)> = Vec::new();
 
         for connection in &device.connections {
-            let Some(src) = compiled.target_position(&connection.source) else {
+            let Some((src, sinks)) = terminals(compiled, connection) else {
                 result.failed.push(connection.id.clone());
                 continue;
             };
-            let sinks: Vec<Point> = connection
-                .sinks
-                .iter()
-                .filter_map(|s| compiled.target_position(s))
-                .collect();
-            if sinks.len() != connection.sinks.len() || sinks.is_empty() {
-                result.failed.push(connection.id.clone());
-                continue;
-            }
             let terminal_ids: Vec<&str> = connection
                 .terminals()
                 .map(|t| t.component.as_str())
