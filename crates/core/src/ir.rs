@@ -840,6 +840,7 @@ mod tests {
         let c = CompiledDevice::from_ref(&device);
         let bad = c.conn_ix("bad").unwrap();
         assert_eq!(c.source(bad).component, None);
+        assert_eq!(c.endpoint_position(c.source(bad)), None);
         assert_eq!(c.connection_layer(bad), None);
         let sink = c.sinks(bad)[0];
         assert_eq!(sink.component, c.comp_ix("m1"));
@@ -901,6 +902,9 @@ mod tests {
         let ix = CompIx::new(7);
         assert_eq!(ix.index(), 7);
         assert_eq!(usize::from(ix), 7);
+        assert_eq!(ConnIx::new(4).index(), 4);
+        assert_eq!(LayerIx::new(5).index(), 5);
+        assert_eq!(PortIx::new(6).index(), 6);
         let _ = (ComponentId::new("x"), ConnectionId::new("y")); // keep imports honest
     }
 }

@@ -4,19 +4,36 @@
 use parchmint::Device;
 use parchmint_suite::suite;
 
+/// The suite plus the smallest FPVA rung, so both decoders also see a
+/// valve-array document of over a thousand components.
+fn suite_and_fpva_1k() -> impl Iterator<Item = parchmint_suite::Benchmark> {
+    let fpva_1k = parchmint_suite::fpva_suite()
+        .into_iter()
+        .find(|b| b.name() == "fpva_1k")
+        .expect("fpva_1k rung");
+    suite().into_iter().chain(std::iter::once(fpva_1k))
+}
+
 #[test]
 fn whole_suite_round_trips_compact() {
-    for benchmark in suite() {
+    for benchmark in suite_and_fpva_1k() {
         let device = benchmark.device();
         let json = device.to_json().expect("serialize");
         let back = Device::from_json(&json).expect("parse");
         assert_eq!(back, device, "{} lost data in round-trip", benchmark.name());
+        let fast = Device::from_json_fast(&json).expect("fast parse");
+        assert_eq!(
+            fast,
+            device,
+            "{} lost data on the fast path",
+            benchmark.name()
+        );
     }
 }
 
 #[test]
 fn whole_suite_round_trips_pretty() {
-    for benchmark in suite() {
+    for benchmark in suite_and_fpva_1k() {
         let device = benchmark.device();
         let json = device.to_json_pretty().expect("serialize");
         let back = Device::from_json(&json).expect("parse");
@@ -24,6 +41,13 @@ fn whole_suite_round_trips_pretty() {
             back,
             device,
             "{} lost data in pretty round-trip",
+            benchmark.name()
+        );
+        let fast = Device::from_json_fast(&json).expect("fast parse");
+        assert_eq!(
+            fast,
+            device,
+            "{} lost data in pretty fast-path round-trip",
             benchmark.name()
         );
     }
