@@ -7,7 +7,7 @@
 #   2. a cold full-suite submission is byte-identical to the committed
 #      baseline — the same artifact `suite-run` is gated on,
 #   3. a warm resubmission replays 100% from the memory tier (zero new
-#      compiles),
+#      compiles, zero key collisions),
 #   4. the HTTP front end answers healthz/submit/stats,
 #   5. the daemon drains cleanly on shutdown, and
 #   6. a *restarted* daemon over the same --cache-dir serves the whole
@@ -132,6 +132,8 @@ compiles = (warm["counters"].get("serve.compile.executed", 0)
             - cold["counters"].get("serve.compile.executed", 0))
 assert compiles == 0, f"warm pass must not compile: {compiles}"
 assert requests["rejected"] == 0, requests
+assert cache["collisions"] == 0, (
+    f"every warm hit must be byte-verified against its own design: {cache}")
 assert requests["peak_in_flight"] >= 8, (
     f"expected >= 8 concurrent in-flight requests: {requests}")
 print(f"warm pass replayed {cells} cells from {entries} cache entries "

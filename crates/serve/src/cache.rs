@@ -4,7 +4,7 @@
 //!
 //! 1. **Memory** — content hash → [`CacheEntry`] under an LRU index
 //!    with an optional byte budget (`--cache-bytes`). Entries carry an
-//!    approximate byte cost (canonical document + recorded stage
+//!    approximate byte cost (canonical document text + recorded stage
 //!    cells); inserting or growing past the budget evicts
 //!    least-recently-used entries until the total fits again (the
 //!    single most-recently-used entry is always kept, even oversized).
@@ -16,6 +16,12 @@
 //!    re-materializes lazily only if a new stage needs it).
 //! 3. **Compute** — a true miss; the service compiles, then publishes
 //!    the result back through both tiers.
+//!
+//! A key is only a candidate. Every entry keeps the canonical text it
+//! was built from, and [`TieredCache::lookup`] reports a hit only when
+//! the caller's canonical text is byte-equal to it, in either tier; a
+//! different design under the same key is a [`Lookup::Collision`],
+//! counted under `collisions` and never served.
 //!
 //! Only *unconditioned* executions are cacheable — a request that runs
 //! under a deadline/fuel budget or with a fault plan armed can produce
@@ -34,10 +40,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-/// One cached design: the canonical document, the (lazily
+/// One cached design: the canonical document text, the (lazily
 /// re-materializable) compiled view, and per-stage results.
 pub struct CacheEntry {
-    doc: Value,
+    canonical: String,
     compile_wall: Duration,
     compiled: OnceLock<Arc<CompiledDevice>>,
     stages: Mutex<BTreeMap<String, StageExec>>,
@@ -45,11 +51,15 @@ pub struct CacheEntry {
 
 impl CacheEntry {
     /// A fresh entry holding a just-compiled artifact.
-    pub fn new(doc: Value, compiled: Arc<CompiledDevice>, compile_wall: Duration) -> CacheEntry {
+    pub fn new(
+        canonical: String,
+        compiled: Arc<CompiledDevice>,
+        compile_wall: Duration,
+    ) -> CacheEntry {
         let cell = OnceLock::new();
         let _ = cell.set(compiled);
         CacheEntry {
-            doc,
+            canonical,
             compile_wall,
             compiled: cell,
             stages: Mutex::new(BTreeMap::new()),
@@ -60,21 +70,22 @@ impl CacheEntry {
     /// present, the compiled view is not (it re-materializes on
     /// demand via [`CacheEntry::materialize`]).
     pub fn warm(
-        doc: Value,
+        canonical: String,
         compile_wall: Duration,
         stages: BTreeMap<String, StageExec>,
     ) -> CacheEntry {
         CacheEntry {
-            doc,
+            canonical,
             compile_wall,
             compiled: OnceLock::new(),
             stages: Mutex::new(stages),
         }
     }
 
-    /// The canonical design document this entry was keyed from.
-    pub fn doc(&self) -> &Value {
-        &self.doc
+    /// The canonical text of the design this entry was keyed from
+    /// ([`hash::canonical_string`] of the submitted document).
+    pub fn canonical(&self) -> &str {
+        &self.canonical
     }
 
     /// How long the original generate+compile took.
@@ -129,7 +140,7 @@ impl CacheEntry {
     /// charged: it is shared by reference and proportional to the
     /// document we do charge for.
     fn base_cost(&self) -> u64 {
-        128 + 3 * hash::canonical_string(&self.doc).len() as u64
+        128 + 3 * self.canonical.len() as u64
     }
 
     fn total_cost(&self) -> u64 {
@@ -160,6 +171,27 @@ pub enum HitTier {
     Spill,
 }
 
+/// What [`TieredCache::lookup`] found under a key.
+pub enum Lookup {
+    /// The key holds this very design (byte-equal canonical text).
+    Hit(Arc<CacheEntry>, HitTier),
+    /// No tier holds anything under the key.
+    Miss,
+    /// The key holds a *different* design: a counted collision, which
+    /// the caller must serve as an uncached miss.
+    Collision,
+}
+
+impl Lookup {
+    /// The entry and its tier, when this was a hit.
+    pub fn hit(self) -> Option<(Arc<CacheEntry>, HitTier)> {
+        match self {
+            Lookup::Hit(entry, tier) => Some((entry, tier)),
+            Lookup::Miss | Lookup::Collision => None,
+        }
+    }
+}
+
 /// A snapshot of every cache counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
@@ -167,8 +199,12 @@ pub struct CacheCounters {
     pub memory_hits: u64,
     /// Lookups served by rehydrating a spill file.
     pub spill_hits: u64,
-    /// Lookups that found nothing in any tier.
+    /// Lookups that found nothing in any tier, or found a different
+    /// design under the key (a collision is a miss too).
     pub misses: u64,
+    /// Lookups or publishes that found a different design under the
+    /// requested key.
+    pub collisions: u64,
     /// Stage cells replayed from a cached entry.
     pub stage_hits: u64,
     /// Stage cells that had to execute.
@@ -239,6 +275,7 @@ pub struct TieredCache {
     memory_hits: AtomicU64,
     spill_hits: AtomicU64,
     misses: AtomicU64,
+    collisions: AtomicU64,
     stage_hits: AtomicU64,
     stage_misses: AtomicU64,
     coalesced: AtomicU64,
@@ -268,6 +305,7 @@ impl TieredCache {
             memory_hits: AtomicU64::new(0),
             spill_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            collisions: AtomicU64::new(0),
             stage_hits: AtomicU64::new(0),
             stage_misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -286,42 +324,72 @@ impl TieredCache {
         self.spill.as_ref().map(Spill::dir)
     }
 
-    /// Looks up `key` through the tiers, counting exactly one of
-    /// memory-hit / spill-hit / miss.
-    pub fn lookup(&self, key: u64) -> Option<(Arc<CacheEntry>, HitTier)> {
+    /// Looks up the design whose canonical text is `canonical` under
+    /// its `key`, through the tiers, counting exactly one of
+    /// memory-hit / spill-hit / miss (a collision counts as a miss and
+    /// a collision).
+    pub fn lookup(&self, key: u64, canonical: &str) -> Lookup {
         {
             let mut memory = self.memory.lock().expect("cache lock");
             if let Some(slot) = memory.entries.get(&key) {
                 let entry = Arc::clone(&slot.entry);
+                if entry.canonical != canonical {
+                    return self.missed(true);
+                }
                 memory.touch(key);
                 self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                return Some((entry, HitTier::Memory));
+                return Lookup::Hit(entry, HitTier::Memory);
             }
         }
         if let Some(spill) = &self.spill {
             if let Some(loaded) = spill.load(&hash::hex(key)) {
+                if loaded.canonical != canonical {
+                    return self.missed(true);
+                }
                 let entry = Arc::new(CacheEntry::warm(
-                    loaded.doc,
+                    loaded.canonical,
                     loaded.compile_wall,
                     loaded.stages,
                 ));
                 // Another thread may have raced the rehydration; whoever
                 // inserted first wins, exactly like a compile race.
-                let entry = self.insert_memory_only(key, entry);
+                let Some(entry) = self.insert_memory_only(key, entry) else {
+                    return self.missed(true);
+                };
                 self.spill_hits.fetch_add(1, Ordering::Relaxed);
-                return Some((entry, HitTier::Spill));
+                return Lookup::Hit(entry, HitTier::Spill);
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        self.missed(false)
     }
 
-    /// An uncounted, memory-only probe. Single-flight leaders use this
-    /// to re-check for a result published between their counted miss
-    /// and their promotion, without double-counting either way.
-    pub fn peek(&self, key: u64) -> Option<Arc<CacheEntry>> {
+    /// Counts a lookup that served nothing: a plain miss, or one that
+    /// found a different design under the key.
+    fn missed(&self, collision: bool) -> Lookup {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        if collision {
+            self.count_collision();
+            Lookup::Collision
+        } else {
+            Lookup::Miss
+        }
+    }
+
+    fn count_collision(&self) {
+        self.collisions.fetch_add(1, Ordering::Relaxed);
+        parchmint_obs::count("cache.collisions", 1);
+    }
+
+    /// An uncounted, memory-only probe for the design `canonical` under
+    /// `key`. Single-flight leaders use this to re-check for a result
+    /// published between their counted miss and their promotion,
+    /// without double-counting either way.
+    pub fn peek(&self, key: u64, canonical: &str) -> Option<Arc<CacheEntry>> {
         let mut memory = self.memory.lock().expect("cache lock");
         let entry = memory.entries.get(&key).map(|s| Arc::clone(&s.entry))?;
+        if entry.canonical != canonical {
+            return None;
+        }
         memory.touch(key);
         Some(entry)
     }
@@ -329,18 +397,29 @@ impl TieredCache {
     /// Inserts `entry` under `key` into both tiers. When two workers
     /// race to publish the same design, the first insert wins and both
     /// use it — the loser's artifact is discarded, never half-merged.
-    pub fn insert(&self, key: u64, entry: Arc<CacheEntry>) -> Arc<CacheEntry> {
-        let entry = self.insert_memory_only(key, entry);
+    /// `None` when `key` already holds a different design: `entry` is
+    /// then not published (a counted collision), and the caller keeps
+    /// using it privately.
+    pub fn insert(&self, key: u64, entry: Arc<CacheEntry>) -> Option<Arc<CacheEntry>> {
+        let Some(entry) = self.insert_memory_only(key, entry) else {
+            self.count_collision();
+            return None;
+        };
         self.spill_entry(key, &entry);
-        entry
+        Some(entry)
     }
 
-    fn insert_memory_only(&self, key: u64, entry: Arc<CacheEntry>) -> Arc<CacheEntry> {
+    /// The memory half of [`TieredCache::insert`]: the resident entry
+    /// for the design, or `None` when `key` holds a different one.
+    fn insert_memory_only(&self, key: u64, entry: Arc<CacheEntry>) -> Option<Arc<CacheEntry>> {
         let mut memory = self.memory.lock().expect("cache lock");
         if let Some(slot) = memory.entries.get(&key) {
             let existing = Arc::clone(&slot.entry);
+            if existing.canonical != entry.canonical {
+                return None;
+            }
             memory.touch(key);
-            return existing;
+            return Some(existing);
         }
         let bytes = entry.total_cost();
         let tick = memory.next_tick;
@@ -356,7 +435,7 @@ impl TieredCache {
         memory.recency.insert(tick, key);
         memory.bytes += bytes;
         self.enforce_budget(&mut memory);
-        entry
+        Some(entry)
     }
 
     /// Records the result of `stage` on `entry`: grows the entry's byte
@@ -384,7 +463,7 @@ impl TieredCache {
         if let Some(spill) = &self.spill {
             spill.store(
                 &hash::hex(key),
-                entry.doc(),
+                entry.canonical(),
                 entry.compile_wall(),
                 &entry.stages_snapshot(),
             );
@@ -451,6 +530,7 @@ impl TieredCache {
             memory_hits: self.memory_hits.load(Ordering::Relaxed),
             spill_hits: self.spill_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            collisions: self.collisions.load(Ordering::Relaxed),
             stage_hits: self.stage_hits.load(Ordering::Relaxed),
             stage_misses: self.stage_misses.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
@@ -478,6 +558,7 @@ impl TieredCache {
         object.insert("memory_hits".to_string(), Value::from(counters.memory_hits));
         object.insert("spill_hits".to_string(), Value::from(counters.spill_hits));
         object.insert("misses".to_string(), Value::from(counters.misses));
+        object.insert("collisions".to_string(), Value::from(counters.collisions));
         object.insert("stage_hits".to_string(), Value::from(counters.stage_hits));
         object.insert(
             "stage_misses".to_string(),
@@ -506,10 +587,10 @@ mod tests {
     use parchmint::Device;
     use parchmint_harness::CellStatus;
 
-    fn doc(name: &str) -> Value {
+    fn doc(name: &str) -> String {
         let mut object = Map::new();
         object.insert("name".to_string(), Value::from(name));
-        Value::Object(object)
+        hash::canonical_string(&Value::Object(object))
     }
 
     fn entry(name: &str) -> Arc<CacheEntry> {
@@ -534,9 +615,9 @@ mod tests {
     #[test]
     fn lookup_counts_hits_and_misses() {
         let cache = TieredCache::new();
-        assert!(cache.lookup(7).is_none());
+        assert!(matches!(cache.lookup(7, &doc("a")), Lookup::Miss));
         cache.insert(7, entry("a"));
-        let (_, tier) = cache.lookup(7).expect("resident");
+        let (_, tier) = cache.lookup(7, &doc("a")).hit().expect("resident");
         assert_eq!(tier, HitTier::Memory);
         let counters = cache.counters();
         assert_eq!(counters.memory_hits, 1);
@@ -549,8 +630,8 @@ mod tests {
     #[test]
     fn racing_inserts_converge_on_the_first() {
         let cache = TieredCache::new();
-        let first = cache.insert(3, entry("a"));
-        let second = cache.insert(3, entry("a"));
+        let first = cache.insert(3, entry("a")).expect("published");
+        let second = cache.insert(3, entry("a")).expect("same design");
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.len(), 1);
     }
@@ -558,9 +639,10 @@ mod tests {
     #[test]
     fn peek_is_uncounted() {
         let cache = TieredCache::new();
-        assert!(cache.peek(5).is_none());
+        assert!(cache.peek(5, &doc("a")).is_none());
         cache.insert(5, entry("a"));
-        assert!(cache.peek(5).is_some());
+        assert!(cache.peek(5, &doc("a")).is_some());
+        assert!(cache.peek(5, &doc("b")).is_none(), "a peek verifies bytes");
         let counters = cache.counters();
         assert_eq!((counters.memory_hits, counters.misses), (0, 0));
     }
@@ -568,7 +650,7 @@ mod tests {
     #[test]
     fn stage_results_replay_per_entry() {
         let cache = TieredCache::new();
-        let entry = cache.insert(11, entry("a"));
+        let entry = cache.insert(11, entry("a")).expect("published");
         assert!(entry.stage("validate").is_none());
         let before = cache.bytes();
         cache.store_stage(11, &entry, "validate", &exec(CellStatus::Ok));
@@ -587,12 +669,12 @@ mod tests {
         cache.insert(2, entry("b"));
         assert_eq!(cache.lru_keys(), vec![1, 2]);
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.lookup(1).is_some());
+        assert!(cache.lookup(1, &doc("a")).hit().is_some());
         cache.insert(3, entry("c"));
         assert_eq!(cache.len(), 2);
-        assert!(cache.peek(2).is_none(), "LRU entry evicted");
-        assert!(cache.peek(1).is_some());
-        assert!(cache.peek(3).is_some());
+        assert!(cache.peek(2, &doc("b")).is_none(), "LRU entry evicted");
+        assert!(cache.peek(1, &doc("a")).is_some());
+        assert!(cache.peek(3, &doc("c")).is_some());
         assert!(cache.bytes() <= budget);
         let counters = cache.counters();
         assert_eq!(counters.evicted_entries, 1);
@@ -608,7 +690,7 @@ mod tests {
         // A second insert evicts the older one but keeps the newest.
         cache.insert(2, entry("also-oversized"));
         assert_eq!(cache.len(), 1);
-        assert!(cache.peek(2).is_some());
+        assert!(cache.peek(2, &doc("also-oversized")).is_some());
         assert_eq!(cache.counters().evicted_entries, 1);
     }
 
@@ -619,20 +701,51 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let cache = TieredCache::with_limits(None, Some(&dir));
-            let entry = cache.insert(77, entry("persisted"));
+            let entry = cache.insert(77, entry("persisted")).expect("published");
             cache.store_stage(77, &entry, "validate", &exec(CellStatus::Ok));
         }
         let cache = TieredCache::with_limits(None, Some(&dir));
-        let (entry, tier) = cache.lookup(77).expect("rehydrated");
+        let (entry, tier) = cache
+            .lookup(77, &doc("persisted"))
+            .hit()
+            .expect("rehydrated");
         assert_eq!(tier, HitTier::Spill);
         assert!(entry.compiled().is_none(), "compile re-materializes lazily");
         assert_eq!(entry.stage("validate").unwrap().status, CellStatus::Ok);
-        assert_eq!(entry.doc(), &doc("persisted"));
+        assert_eq!(entry.canonical(), doc("persisted"));
         // Now resident: the next lookup is a memory hit.
-        let (_, tier) = cache.lookup(77).expect("resident");
+        let (_, tier) = cache.lookup(77, &doc("persisted")).hit().expect("resident");
         assert_eq!(tier, HitTier::Memory);
         let counters = cache.counters();
         assert_eq!((counters.spill_hits, counters.memory_hits), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_different_design_under_the_same_key_is_a_counted_collision() {
+        let dir = std::env::temp_dir().join(format!(
+            "parchmint-cache-collision-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = TieredCache::with_limits(None, Some(&dir));
+        cache.insert(9, entry("a")).expect("published");
+        assert!(matches!(cache.lookup(9, &doc("b")), Lookup::Collision));
+        assert!(cache.insert(9, entry("b")).is_none(), "b is not published");
+        let (resident, _) = cache.lookup(9, &doc("a")).hit().expect("a survives");
+        assert_eq!(resident.canonical(), doc("a"));
+
+        // The spill tier verifies too: a fresh cache over the same
+        // directory rehydrates only the design that was spilled.
+        let restarted = TieredCache::with_limits(None, Some(&dir));
+        assert!(matches!(restarted.lookup(9, &doc("b")), Lookup::Collision));
+        assert!(restarted.is_empty(), "a colliding spill file is not loaded");
+        assert!(restarted.lookup(9, &doc("a")).hit().is_some());
+
+        let counters = cache.counters();
+        assert_eq!((counters.collisions, counters.memory_hits), (2, 1));
+        assert_eq!(counters.misses, 1, "the collided lookup is a miss");
+        assert_eq!(restarted.counters().collisions, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

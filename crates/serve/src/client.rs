@@ -34,7 +34,7 @@
 //! submission, stripped of timings, is byte-identical to a local
 //! `suite-run` report.
 
-use crate::protocol;
+use crate::{net, protocol};
 use parchmint_harness::{resolve_matrix, Cell, CellStatus, SuiteReport};
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
@@ -321,7 +321,9 @@ impl Client {
     fn dial(addr: &str, config: &ClientConfig) -> io::Result<Conn> {
         let mut last = None;
         for resolved in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&resolved, config.connect_timeout) {
+            match TcpStream::connect_timeout(&resolved, config.connect_timeout)
+                .and_then(net::low_latency)
+            {
                 Ok(stream) => {
                     let read_timeout =
                         (!config.read_timeout.is_zero()).then_some(config.read_timeout);
@@ -384,7 +386,7 @@ impl Client {
             if line.trim().is_empty() {
                 continue;
             }
-            return serde_json::from_str(line.trim())
+            return serde_json::parse_value(&line)
                 .map_err(|error| ClientError::Protocol(format!("unparseable event: {error}")));
         }
     }
@@ -621,7 +623,7 @@ pub fn submit_suite(
             .device()
             .to_json()
             .map_err(|e| ClientError::Protocol(format!("serializing {}: {e}", benchmark.name())))?;
-        let doc: Value = serde_json::from_str(&json)
+        let doc = serde_json::parse_value(&json)
             .map_err(|e| ClientError::Protocol(format!("reparsing {}: {e}", benchmark.name())))?;
         designs.push(doc);
     }
@@ -757,5 +759,16 @@ mod tests {
             let rendered = error.to_string();
             assert!(rendered.contains(needle), "{rendered:?} lacks {needle:?}");
         }
+    }
+
+    #[test]
+    fn the_client_connection_runs_without_nagle() {
+        // The client pipelines small request lines; Nagle would hold
+        // each one back behind the daemon's delayed ACK.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(&listener.local_addr().unwrap().to_string()).unwrap();
+        let conn = client.conn.as_ref().expect("connected");
+        assert!(conn.writer.nodelay().unwrap());
+        assert!(conn.reader.get_ref().nodelay().unwrap());
     }
 }

@@ -7,10 +7,15 @@
 //! sorted key order (member order gone), and the canonical compact
 //! serialization of that value is hashed with FNV-1a 64.
 //!
-//! FNV is not collision-resistant in the cryptographic sense; it does not
-//! need to be. The cache is a performance layer keyed over trusted-ish
-//! inputs, and a (astronomically unlikely) collision costs a wrong cached
-//! answer for the colliding submitter only, never memory unsafety.
+//! The service prints that canonical text once per request, hashes it,
+//! and looks the hash up before decoding anything ("hash before
+//! parse"). FNV is not collision-resistant, and a key is only a
+//! candidate: every cache entry keeps the canonical text it was built
+//! from, and a hit counts only when the request's canonical text
+//! compares byte-equal to it. A mismatch — an accidental or crafted
+//! collision — is served as a fresh, uncached miss and counted under
+//! `cache.collisions`, so a colliding design can cost a recompile but
+//! never another design's results.
 
 use serde_json::Value;
 
@@ -30,18 +35,26 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// The canonical serialization a design is hashed under: compact JSON
 /// with objects in sorted key order (the `Map` iteration order).
 pub fn canonical_string(value: &Value) -> String {
-    serde_json::to_string(value).expect("JSON value serialization is infallible")
+    let mut out = String::new();
+    serde_json::write_value(&mut out, value);
+    out
+}
+
+/// Content hash of an already-canonical serialization (the text
+/// [`canonical_string`] produced).
+pub fn canonical_hash(canonical: &str) -> u64 {
+    fnv1a(canonical.as_bytes())
 }
 
 /// Content hash of a parsed design document.
 pub fn content_hash(value: &Value) -> u64 {
-    fnv1a(canonical_string(value).as_bytes())
+    canonical_hash(&canonical_string(value))
 }
 
 /// Parses `text` and hashes it canonically — two texts that differ only
 /// in whitespace or member order hash identically.
 pub fn hash_json_str(text: &str) -> Result<u64, String> {
-    let value: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    let value = serde_json::parse_value(text).map_err(|e| e.to_string())?;
     Ok(content_hash(&value))
 }
 

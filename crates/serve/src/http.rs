@@ -40,7 +40,6 @@
 use crate::net::{self, BodyError, LineReader, Poll};
 use crate::protocol::{self, ErrorKind, WireError, PROTO};
 use crate::server::{Server, SharedWriter};
-use parchmint_obs::Recorder;
 use serde_json::{Map, Value};
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
@@ -307,21 +306,23 @@ fn write_response(
     keep_alive: bool,
     retry_after_ms: Option<u64>,
 ) -> bool {
-    let body = serde_json::to_string(body).expect("response serializes");
+    let mut text = String::new();
+    serde_json::write_value(&mut text, body);
     let connection = if keep_alive { "keep-alive" } else { "close" };
     // Retry-After is whole seconds; round the hint up so a client
     // honoring the header never retries before the hinted instant.
     let retry_after = retry_after_ms
         .map(|ms| format!("Retry-After: {}\r\n", ms.div_ceil(1000).max(1)))
         .unwrap_or_default();
-    let head = format!(
+    // Head and body leave in one write, so the response is never split
+    // into a small segment waiting on the peer's delayed ACK.
+    let mut response = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{retry_after}Connection: {connection}\r\n\r\n",
         reason(status),
-        body.len(),
+        text.len(),
     );
-    stream.write_all(head.as_bytes()).is_ok()
-        && stream.write_all(body.as_bytes()).is_ok()
-        && stream.flush().is_ok()
+    response.push_str(&text);
+    stream.write_all(response.as_bytes()).is_ok() && stream.flush().is_ok()
 }
 
 fn error_body(kind: ErrorKind, message: &str) -> (u16, Value) {
@@ -357,7 +358,7 @@ impl Write for EventCollector {
             let Ok(text) = std::str::from_utf8(&line) else {
                 continue;
             };
-            let Ok(event) = serde_json::from_str::<Value>(text.trim()) else {
+            let Ok(event) = serde_json::parse_value(text) else {
                 continue;
             };
             let kind = event["event"].as_str().unwrap_or_default();
@@ -391,7 +392,7 @@ fn status_of(events: &[Value]) -> u16 {
 /// through [`crate::service::Service::process_submit_batch`]. Blocks
 /// until every submission finishes, returning `(status, body)`.
 fn handle_submit(server: &Server, body: &str) -> (u16, Value) {
-    let value: Value = match serde_json::from_str(body) {
+    let value = match serde_json::parse_value(body) {
         Ok(value) => value,
         Err(error) => {
             return error_body(
@@ -401,9 +402,9 @@ fn handle_submit(server: &Server, body: &str) -> (u16, Value) {
         }
     };
     if let Value::Array(items) = value {
-        return handle_submit_batch(server, &items);
+        return handle_submit_batch(server, items);
     }
-    let request = match protocol::parse_submit_value(&value) {
+    let request = match protocol::parse_submit_value(value) {
         Ok(request) => request,
         Err((id, error)) => {
             return (
@@ -438,14 +439,14 @@ fn handle_submit(server: &Server, body: &str) -> (u16, Value) {
 /// malformed elements become single-error slots. The overall status is
 /// 200 only when every slot finished `done`; otherwise it is the first
 /// failing slot's status.
-fn handle_submit_batch(server: &Server, items: &[Value]) -> (u16, Value) {
+fn handle_submit_batch(server: &Server, items: Vec<Value>) -> (u16, Value) {
     if server.is_shutting_down() {
         return error_body(ErrorKind::ShuttingDown, "daemon is draining");
     }
     let mut slots: Vec<Option<Vec<Value>>> = Vec::with_capacity(items.len());
     let mut indices = Vec::new();
     let mut parsed = Vec::new();
-    for (index, item) in items.iter().enumerate() {
+    for (index, item) in items.into_iter().enumerate() {
         match protocol::parse_submit_value(item) {
             Ok(request) => {
                 indices.push(index);
@@ -574,22 +575,8 @@ fn handle_connection(server: &Arc<Server>, stream: TcpStream) {
 }
 
 /// The HTTP accept loop: one handler thread per connection, until the
-/// server begins shutdown (the transport owner unblocks the accept with
-/// a self-connection, exactly like the line-protocol TCP loop). Each
-/// handler installs the service's collector so its `serve.net.*`
-/// counters aggregate into `stats`.
+/// server begins shutdown — the same [`crate::server::accept_loop`] the
+/// line protocol runs.
 pub(crate) fn run_http(server: &Arc<Server>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        if server.is_shutting_down() {
-            break;
-        }
-        let Ok(stream) = stream else {
-            continue;
-        };
-        let server = Arc::clone(server);
-        std::thread::spawn(move || {
-            let recorder: Arc<dyn Recorder> = server.service().collector();
-            parchmint_obs::with_recorder(recorder, || handle_connection(&server, stream));
-        });
-    }
+    crate::server::accept_loop(server, listener, handle_connection);
 }

@@ -10,7 +10,8 @@
 //! Layers, bottom up:
 //!
 //! - [`hash`] — canonical content hashing of design documents
-//!   (whitespace- and key-order-insensitive FNV-1a 64);
+//!   (whitespace- and key-order-insensitive FNV-1a 64 over canonical
+//!   text, printed once per request before anything is decoded);
 //! - [`queue`] — the bounded admission queue whose fail-fast `try_push`
 //!   is the daemon's backpressure boundary;
 //! - [`flight`] — single-flight deduplication: concurrent identical
@@ -20,7 +21,9 @@
 //! - [`cache`] — the tiered cache (size-budgeted LRU memory tier over
 //!   the spill tier) of compiled devices plus downstream stage
 //!   artifacts, so identical designs never recompile or re-run — not
-//!   even across daemon restarts;
+//!   even across daemon restarts. Entries store their canonical text,
+//!   and a hit must match it byte for byte: a hash collision is a
+//!   counted miss, never another design's results;
 //! - [`protocol`] — the versioned wire format (`parchmint-serve/1`):
 //!   `submit`/`stats`/`ping`/`shutdown` requests, `cell`/`done`/`error`
 //!   events, and the closed error taxonomy (`bad_request`,
@@ -40,7 +43,8 @@
 //! - [`net`] — the poll-based line framer shared by the TCP and HTTP
 //!   transports: bounded frames, stall detection from the *start* of a
 //!   partial frame (so a 1 byte/sec dripper cannot hold a socket), and
-//!   deadline-bounded body reads;
+//!   deadline-bounded body reads; plus [`net::low_latency`], which puts
+//!   every daemon and client socket in `TCP_NODELAY` mode;
 //! - [`chaos`] — deterministic wire-fault injection: a seeded TCP
 //!   proxy ([`chaos::ChaosProxy`]) that delays, throttles, truncates,
 //!   garbles, or severs connections according to a
@@ -62,7 +66,7 @@ pub mod server;
 pub mod service;
 pub mod spill;
 
-pub use cache::{CacheCounters, CacheEntry, HitTier, TieredCache};
+pub use cache::{CacheCounters, CacheEntry, HitTier, Lookup, TieredCache};
 pub use chaos::{ChaosCounters, ChaosPlan, ChaosProxy, Direction, FaultKind, CHAOS_SCHEMA};
 pub use client::{
     submit_suite, Backoff, Client, ClientConfig, ClientError, Submission, SuiteSubmission,

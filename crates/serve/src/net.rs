@@ -1,6 +1,7 @@
 //! Hardened socket framing shared by the line-protocol and HTTP
 //! transports: a poll-based line reader that can tell a *stalled* peer
-//! from an *idle* one.
+//! from an *idle* one, plus [`low_latency`], the socket setup every
+//! daemon and client connection goes through.
 //!
 //! `BufRead::read_line` on a plain socket cannot defend against a
 //! slowloris peer: it loops over `fill_buf` internally, and a client
@@ -27,6 +28,17 @@ use std::time::{Duration, Instant};
 /// How often a [`LineReader`] wakes to re-examine timeout policy when
 /// no bytes are arriving (upper bound; see [`poll_interval`]).
 pub const POLL_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Sets `TCP_NODELAY` on a freshly accepted or dialed stream. Both
+/// protocols are request/response with small messages (an event line,
+/// a pipelined request, a short HTTP reply): under Nagle's algorithm
+/// such a write waits for the ACK of the previous one, which the peer
+/// delays by up to tens of milliseconds. Every write here is already a
+/// whole message, so there is nothing for Nagle to coalesce.
+pub fn low_latency(stream: TcpStream) -> io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
 
 /// One observation from [`LineReader::poll_line`].
 #[derive(Debug)]
@@ -218,9 +230,11 @@ impl LineReader {
     }
 
     /// Lingering close: reads and discards until EOF or `limit`
-    /// elapses. Closing a socket with unread bytes in its receive
-    /// buffer sends a reset, which can destroy a refusal already in
-    /// flight to the peer — draining first lets the 4xx arrive.
+    /// elapses, then half-closes the write side. Closing a socket with
+    /// unread bytes in its receive buffer sends a reset, which can
+    /// destroy a refusal already in flight to the peer — draining first
+    /// lets the 4xx arrive, and the FIN sent before the close puts EOF
+    /// ahead of any reset a peer still sending past the drain provokes.
     pub fn drain_for(&mut self, limit: Duration) {
         // A reader polling blocking-forever (no timeouts configured)
         // must still honor the drain deadline.
@@ -229,7 +243,7 @@ impl LineReader {
         let mut chunk = [0u8; 8 << 10];
         while Instant::now() < deadline {
             match self.stream.read(&mut chunk) {
-                Ok(0) => return,
+                Ok(0) => break,
                 Ok(_) => {}
                 Err(error)
                     if matches!(
@@ -238,9 +252,10 @@ impl LineReader {
                             | io::ErrorKind::TimedOut
                             | io::ErrorKind::Interrupted
                     ) => {}
-                Err(_) => return,
+                Err(_) => break,
             }
         }
+        let _ = self.stream.shutdown(std::net::Shutdown::Write);
     }
 }
 
@@ -425,5 +440,14 @@ mod tests {
             Some(Duration::from_millis(10)),
             "poll never spins tighter than 10ms"
         );
+    }
+
+    #[test]
+    fn low_latency_sets_nodelay_on_both_ends() {
+        let (client, server) = pair();
+        assert!(!server.nodelay().unwrap(), "the kernel default is Nagle");
+        let (client, server) = (low_latency(client).unwrap(), low_latency(server).unwrap());
+        assert!(client.nodelay().unwrap());
+        assert!(server.nodelay().unwrap());
     }
 }

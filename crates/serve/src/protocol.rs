@@ -208,50 +208,50 @@ fn check_proto(object: &Map) -> Result<(), WireError> {
 /// with whatever `id` could be recovered from the line, so the error
 /// response still correlates.
 pub fn parse_request(line: &str) -> Result<Request, (Value, WireError)> {
-    let value: Value = serde_json::from_str(line)
+    let value = serde_json::parse_value(line)
         .map_err(|e| (Value::Null, bad(format!("request is not valid JSON: {e}"))))?;
     let Value::Object(object) = value else {
         return Err((Value::Null, bad("request must be a JSON object")));
     };
     let id = object.get("id").cloned().unwrap_or(Value::Null);
-    parse_object(&object, id.clone()).map_err(|error| (id, error))
+    parse_object(object, id.clone()).map_err(|error| (id, error))
 }
 
 /// Parses an HTTP `POST /v1/submit` body: the same object as a
 /// line-protocol submit, with `op` optional (it is implied by the
 /// route, but `"submit"` is accepted).
 pub fn parse_submit_body(body: &str) -> Result<Box<SubmitRequest>, (Value, WireError)> {
-    let value: Value = serde_json::from_str(body)
+    let value = serde_json::parse_value(body)
         .map_err(|e| (Value::Null, bad(format!("body is not valid JSON: {e}"))))?;
-    parse_submit_value(&value)
+    parse_submit_value(value)
 }
 
 /// Parses one submit object that has already been read as a [`Value`] —
 /// the single HTTP body, or one element of an HTTP batch array. The
-/// same shape as a line-protocol submit, with `op` optional.
-pub fn parse_submit_value(value: &Value) -> Result<Box<SubmitRequest>, (Value, WireError)> {
+/// same shape as a line-protocol submit, with `op` optional. An inline
+/// design is moved out of `value`, never copied.
+pub fn parse_submit_value(value: Value) -> Result<Box<SubmitRequest>, (Value, WireError)> {
     let Value::Object(object) = value else {
         return Err((Value::Null, bad("submit must be a JSON object")));
     };
     let id = object.get("id").cloned().unwrap_or(Value::Null);
-    let build = || -> Result<Box<SubmitRequest>, WireError> {
-        check_proto(object)?;
+    let build = |object: Map| -> Result<Box<SubmitRequest>, WireError> {
+        check_proto(&object)?;
         match object.get("op").and_then(Value::as_str) {
             None | Some("submit") => {}
             Some(other) => return Err(bad(format!("`op` must be `submit`, not `{other}`"))),
         }
         parse_submit(object, id.clone())
     };
-    build().map_err(|error| (id, error))
+    build(object).map_err(|error| (id, error))
 }
 
-fn parse_object(object: &Map, id: Value) -> Result<Request, WireError> {
-    check_proto(object)?;
-    let op = object
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or_else(|| bad("missing string field `op`"))?;
-    match op {
+fn parse_object(mut object: Map, id: Value) -> Result<Request, WireError> {
+    check_proto(&object)?;
+    let Some(Value::String(op)) = object.remove("op") else {
+        return Err(bad("missing string field `op`"));
+    };
+    match op.as_str() {
         "submit" => Ok(Request::Submit(parse_submit(object, id)?)),
         "stats" => Ok(Request::Stats { id }),
         "ping" => Ok(Request::Ping { id }),
@@ -260,15 +260,15 @@ fn parse_object(object: &Map, id: Value) -> Result<Request, WireError> {
     }
 }
 
-fn parse_submit(object: &Map, id: Value) -> Result<Box<SubmitRequest>, WireError> {
+fn parse_submit(mut object: Map, id: Value) -> Result<Box<SubmitRequest>, WireError> {
     let source = match (
-        object.get("design"),
-        object.get("mint"),
-        object.get("benchmark"),
+        object.remove("design"),
+        object.remove("mint"),
+        object.remove("benchmark"),
     ) {
-        (Some(design), None, None) => DesignSource::Json(design.clone()),
-        (None, Some(Value::String(text)), None) => DesignSource::Mint(text.clone()),
-        (None, None, Some(Value::String(name))) => DesignSource::Benchmark(name.clone()),
+        (Some(design), None, None) => DesignSource::Json(design),
+        (None, Some(Value::String(text)), None) => DesignSource::Mint(text),
+        (None, None, Some(Value::String(name))) => DesignSource::Benchmark(name),
         (None, Some(_), None) | (None, None, Some(_)) => {
             return Err(bad("`mint` and `benchmark` must be strings"))
         }
@@ -286,15 +286,16 @@ fn parse_submit(object: &Map, id: Value) -> Result<Box<SubmitRequest>, WireError
     Ok(Box::new(SubmitRequest {
         id,
         source,
-        stages: opt_string_list(object, "stages")?,
-        deadline_ms: opt_u64(object, "deadline_ms")?,
-        fuel: opt_u64(object, "fuel")?,
+        stages: opt_string_list(&object, "stages")?,
+        deadline_ms: opt_u64(&object, "deadline_ms")?,
+        fuel: opt_u64(&object, "fuel")?,
     }))
 }
 
 /// Serializes a response value as one wire line (compact, `\n`-terminated).
 pub fn to_line(value: &Value) -> String {
-    let mut line = serde_json::to_string(value).expect("response serialization is infallible");
+    let mut line = String::new();
+    serde_json::write_value(&mut line, value);
     line.push('\n');
     line
 }

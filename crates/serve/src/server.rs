@@ -17,6 +17,11 @@
 //! hint scaled with queue occupancy, so polite clients spread their
 //! retries instead of stampeding.
 //!
+//! Every accepted TCP connection runs with `TCP_NODELAY`
+//! ([`net::low_latency`]): a response is a series of small event writes,
+//! and Nagle's algorithm would hold each one back until the client's
+//! delayed ACK of the previous one.
+//!
 //! TCP connections are defended, not trusted: frames are read through
 //! [`crate::net::LineReader`] under the configured read timeout (a
 //! partial frame older than the timeout is a slow-drip peer and is
@@ -424,26 +429,40 @@ fn line_connection(server: &Arc<Server>, stream: TcpStream, local: std::net::Soc
     parchmint_obs::count("serve.net.conn.closed", 1);
 }
 
+/// The accept loop both socket transports run: every connection is
+/// set up by [`net::low_latency`] and handed to `handle` on a thread of
+/// its own, until the server begins shutdown (the transport owner then
+/// unblocks the accept with a self-connection). The connection thread
+/// gets the service's collector too, so the `serve.net.*` counters it
+/// emits aggregate into `stats`.
+pub(crate) fn accept_loop<H>(server: &Arc<Server>, listener: TcpListener, handle: H)
+where
+    H: Fn(&Arc<Server>, TcpStream) + Clone + Send + 'static,
+{
+    for stream in listener.incoming() {
+        if server.is_shutting_down() {
+            break;
+        }
+        let Ok(stream) = stream.and_then(net::low_latency) else {
+            continue;
+        };
+        let server = Arc::clone(server);
+        let handle = handle.clone();
+        std::thread::spawn(move || {
+            let recorder: Arc<dyn Recorder> = server.service.collector();
+            parchmint_obs::with_recorder(recorder, || handle(&server, stream));
+        });
+    }
+}
+
 /// The TCP main loop: one reader thread per connection, until some
 /// connection sends `shutdown`. Responses to a submission always go to
 /// the connection that made it.
 fn tcp_loop(server: &Arc<Server>, listener: TcpListener) -> io::Result<()> {
     let local = listener.local_addr()?;
-    for stream in listener.incoming() {
-        if server.is_shutting_down() {
-            break;
-        }
-        let Ok(stream) = stream else {
-            continue;
-        };
-        let server = Arc::clone(server);
-        std::thread::spawn(move || {
-            // The connection thread gets the collector too, so the
-            // serve.net.* counters it emits aggregate into stats.
-            let recorder: Arc<dyn Recorder> = server.service.collector();
-            parchmint_obs::with_recorder(recorder, || line_connection(&server, stream, local));
-        });
-    }
+    accept_loop(server, listener, move |server, stream| {
+        line_connection(server, stream, local)
+    });
     Ok(())
 }
 
@@ -685,5 +704,29 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         server.begin_shutdown();
+    }
+
+    #[test]
+    fn accepted_connections_run_without_nagle() {
+        // Both socket transports accept through this loop: the line
+        // protocol (`tcp_loop`) and HTTP (`http::run_http`).
+        let server = Arc::new(Server::new(Arc::new(Service::new(ServeConfig::default()))));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (flags, accepted) = std::sync::mpsc::channel();
+        let acceptor = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                accept_loop(&server, listener, move |_, stream: TcpStream| {
+                    let _ = flags.send(stream.nodelay().unwrap());
+                })
+            })
+        };
+        let _client = TcpStream::connect(addr).unwrap();
+        let nodelay = accepted.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(nodelay, "accepted connection must have TCP_NODELAY set");
+        server.begin_shutdown();
+        let _ = TcpStream::connect(addr);
+        acceptor.join().unwrap();
     }
 }

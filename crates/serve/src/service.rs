@@ -1,6 +1,14 @@
 //! The transport-agnostic service core: resolve → hash → compile →
 //! stages, emitting wire events.
 //!
+//! Hash before parse: a submission is resolved only as far as its
+//! canonical text ([`hash::canonical_string`]) and name, hashed, and
+//! looked up. A hit whose stored canonical text is byte-equal to the
+//! request's is replayed without decoding the design at all; only a
+//! miss (or a collision, which is served as an uncached miss) decodes
+//! it into a [`Device`] and compiles. Every service-side decode is
+//! counted under `serve.design.decoded`.
+//!
 //! [`Service::process_submit`] is the single code path every daemon
 //! worker runs, and it executes stages through exactly the same
 //! [`parchmint_harness::engine`] the `suite-run` sweep uses — compile
@@ -24,7 +32,7 @@
 //! are never stored, so a degraded partial result can never be
 //! replayed to a clean request.
 
-use crate::cache::{CacheEntry, TieredCache};
+use crate::cache::{CacheEntry, Lookup, TieredCache};
 use crate::flight::{Flight, SingleFlight};
 use crate::hash;
 use crate::protocol::{
@@ -342,10 +350,22 @@ enum CompileOutcome {
     /// Served from the cache (memory or spill) or from a coalesced
     /// in-flight compile.
     Hit(Arc<CacheEntry>),
-    /// This request compiled it (and published it, when cacheable).
+    /// This request compiled it and published it to the cache.
     Compiled(Arc<CacheEntry>, Duration),
+    /// This request compiled it for itself alone: the run is not
+    /// cacheable, or another design holds its key.
+    Fresh(Arc<CacheEntry>, Duration),
     /// Generation or compilation panicked.
     Panicked(String),
+}
+
+/// A submission's design, resolved just far enough to key the cache:
+/// its canonical text and name, plus the device when resolving already
+/// produced one (MINT text and registry names).
+struct Resolved {
+    canonical: String,
+    name: String,
+    device: Option<Device>,
 }
 
 /// The shared service state: stage matrix, tiered cache, single-flight
@@ -365,6 +385,8 @@ pub struct Service {
     in_flight: AtomicU64,
     peak_in_flight: AtomicU64,
     worker_respawns: AtomicU64,
+    /// Cache key of a canonical text; tests swap it to force collisions.
+    key_of: fn(&str) -> u64,
 }
 
 impl Service {
@@ -390,7 +412,16 @@ impl Service {
             in_flight: AtomicU64::new(0),
             peak_in_flight: AtomicU64::new(0),
             worker_respawns: AtomicU64::new(0),
+            key_of: hash::canonical_hash,
         }
+    }
+
+    /// The same service keying the cache by `key_of`, so a test can
+    /// force distinct designs onto one key.
+    #[cfg(test)]
+    fn with_key_hook(mut self, key_of: fn(&str) -> u64) -> Service {
+        self.key_of = key_of;
+        self
     }
 
     /// The daemon's configuration.
@@ -423,35 +454,55 @@ impl Service {
         self.worker_respawns.load(Ordering::Relaxed)
     }
 
-    /// Resolves a design source to a device plus the canonical document
-    /// the cache key is derived from.
-    fn resolve(&self, source: &DesignSource) -> Result<(Device, Value), WireError> {
+    /// Resolves a design source to the canonical text the cache key is
+    /// derived from. Inline JSON is only printed, never decoded here:
+    /// its name is read off the tree, and the decode waits for a miss.
+    fn resolve(&self, source: &DesignSource) -> Result<Resolved, WireError> {
         let invalid = |message: String| WireError::new(ErrorKind::InvalidDesign, message);
+        let resolved = |device: Device| {
+            Ok(Resolved {
+                canonical: device_canonical(&device)?,
+                name: device.name.clone(),
+                device: Some(device),
+            })
+        };
         match source {
-            DesignSource::Json(value) => {
-                // The streaming zero-copy parser: same accepted language
-                // as `Device::from_json` (pinned by the core equivalence
-                // proptest), one pass, no intermediate `Value` tree.
-                let device = Device::from_json_fast(&hash::canonical_string(value))
-                    .map_err(|e| invalid(format!("invalid ParchMint design: {e}")))?;
-                Ok((device, value.clone()))
-            }
+            // A nameless document never decodes, so it never reaches
+            // the cache or a stage: its empty name is never reported.
+            DesignSource::Json(value) => Ok(Resolved {
+                canonical: hash::canonical_string(value),
+                name: value["name"].as_str().unwrap_or_default().to_string(),
+                device: None,
+            }),
             DesignSource::Mint(text) => {
+                parchmint_obs::count("serve.design.decoded", 1);
                 let file = parchmint_mint::parse(text)
                     .map_err(|e| invalid(format!("invalid MINT: {e}")))?;
-                let device = parchmint_mint::mint_to_device(&file)
-                    .map_err(|e| invalid(format!("MINT conversion failed: {e}")))?;
-                let doc = device_document(&device)?;
-                Ok((device, doc))
+                resolved(
+                    parchmint_mint::mint_to_device(&file)
+                        .map_err(|e| invalid(format!("MINT conversion failed: {e}")))?,
+                )
             }
-            DesignSource::Benchmark(name) => {
-                let benchmark = parchmint_suite::by_name(name)
-                    .ok_or_else(|| invalid(format!("unknown benchmark `{name}`")))?;
-                let device = benchmark.device();
-                let doc = device_document(&device)?;
-                Ok((device, doc))
-            }
+            DesignSource::Benchmark(name) => resolved(
+                parchmint_suite::by_name(name)
+                    .ok_or_else(|| invalid(format!("unknown benchmark `{name}`")))?
+                    .device(),
+            ),
         }
+    }
+
+    /// Decodes canonical design text with the streaming zero-copy
+    /// parser: the same accepted language as `Device::from_json`
+    /// (pinned by the core equivalence proptest), one pass, no
+    /// intermediate `Value` tree.
+    fn decode(&self, canonical: &str) -> Result<Device, WireError> {
+        parchmint_obs::count("serve.design.decoded", 1);
+        Device::from_json_fast(canonical).map_err(|e| {
+            WireError::new(
+                ErrorKind::InvalidDesign,
+                format!("invalid ParchMint design: {e}"),
+            )
+        })
     }
 
     /// The execution policy for one submission: request-level bounds win,
@@ -532,18 +583,41 @@ impl Service {
     }
 
     fn run_submission(&self, request: &SubmitRequest, emit: &mut dyn FnMut(Value)) {
-        let (device, doc) = match self.resolve(&request.source) {
+        let Resolved {
+            canonical,
+            name: design,
+            device,
+        } = match self.resolve(&request.source) {
             Ok(resolved) => resolved,
             Err(error) => {
                 emit(error_event(&request.id, &error));
                 return;
             }
         };
-        let key = hash::content_hash(&doc);
-        let design = device.name.clone();
+        let key = (self.key_of)(&canonical);
         let policy = self.policy_for(request);
         let faults = self.faults_for(&design);
         let cacheable = !policy.is_bounded() && faults.is_none();
+        let probe = if cacheable {
+            self.cache.lookup(key, &canonical)
+        } else {
+            Lookup::Miss
+        };
+        // A key held by another design is served as an uncached miss.
+        let cacheable = cacheable && !matches!(probe, Lookup::Collision);
+        let hit = probe.hit().map(|(entry, _tier)| entry);
+        // Only a miss needs the device; a verified hit never decodes.
+        let device = match (&hit, device) {
+            (Some(_), _) => None,
+            (None, Some(device)) => Some(device),
+            (None, None) => match self.decode(&canonical) {
+                Ok(device) => Some(device),
+                Err(error) => {
+                    emit(error_event(&request.id, &error));
+                    return;
+                }
+            },
+        };
         let (selected, unknown) = self.select_stages(request.stages.as_deref());
 
         let mut cells = 0usize;
@@ -562,11 +636,13 @@ impl Service {
         }
 
         // Compile: shared from the cache / an in-flight duplicate when
-        // possible, fresh otherwise.
-        let (entry, compile_hit, compile_wall) =
-            match self.obtain_compile(key, cacheable, &device, &doc, faults.as_ref()) {
-                CompileOutcome::Hit(entry) => (entry, true, None),
-                CompileOutcome::Compiled(entry, wall) => (entry, false, Some(wall)),
+        // possible, fresh otherwise. Stage results are cached only on an
+        // entry the cache holds.
+        let (entry, compile_hit, compile_wall, cache_stages) =
+            match self.obtain_compile(key, cacheable, canonical, hit, device, faults.as_ref()) {
+                CompileOutcome::Hit(entry) => (entry, true, None, true),
+                CompileOutcome::Compiled(entry, wall) => (entry, false, Some(wall), true),
+                CompileOutcome::Fresh(entry, wall) => (entry, false, Some(wall), false),
                 CompileOutcome::Panicked(panic) => {
                     // Generation/compilation panicked: every selected stage
                     // is a failed cell, exactly as the harness reports it.
@@ -598,8 +674,8 @@ impl Service {
         for stage in &selected {
             let started = Instant::now();
             let (exec, cached) =
-                self.obtain_stage(key, &entry, stage, &policy, faults.as_ref(), cacheable);
-            if cacheable {
+                self.obtain_stage(key, &entry, stage, &policy, faults.as_ref(), cache_stages);
+            if cache_stages {
                 self.cache.count_stage(cached);
             }
             parchmint_obs::count(
@@ -633,55 +709,50 @@ impl Service {
         ));
     }
 
-    /// Gets the compile artifact for `key`: from the tiered cache, by
-    /// winning the single-flight and compiling, or by parking behind an
-    /// identical in-flight compile. Non-cacheable requests compile
-    /// fresh without touching cache or flights.
+    /// Gets the compile artifact for the design `canonical` under
+    /// `key`: the `hit` of the first cache probe, by winning the
+    /// single-flight and compiling, or by parking behind an identical
+    /// in-flight compile. `device` is present whenever `hit` is not.
+    /// Non-cacheable requests compile fresh without publishing.
     fn obtain_compile(
         &self,
         key: u64,
         cacheable: bool,
-        device: &Device,
-        doc: &Value,
+        canonical: String,
+        hit: Option<Arc<CacheEntry>>,
+        device: Option<Device>,
         faults: Option<&Arc<FaultPlan>>,
     ) -> CompileOutcome {
+        if let Some(entry) = hit {
+            parchmint_obs::count("serve.compile.replayed", 1);
+            return CompileOutcome::Hit(entry);
+        }
+        let device = device.expect("a miss carries its decoded device");
         if !cacheable {
-            let device = device.clone();
-            let compile = engine::compile_device(move || device, faults, false);
-            parchmint_obs::count("serve.compile.executed", 1);
-            return match compile.compiled {
-                Ok(compiled) => CompileOutcome::Compiled(
-                    Arc::new(CacheEntry::new(doc.clone(), compiled, compile.wall)),
-                    compile.wall,
-                ),
-                Err(panic) => CompileOutcome::Panicked(panic),
-            };
+            return self.compile_fresh(device, canonical, faults);
         }
         loop {
-            if let Some((entry, _tier)) = self.cache.lookup(key) {
-                parchmint_obs::count("serve.compile.replayed", 1);
-                return CompileOutcome::Hit(entry);
-            }
             match self.compile_flights.join(key) {
                 Flight::Leader(token) => {
                     // A leader that finished between our counted miss and
                     // this promotion already published; don't recompile.
-                    if let Some(entry) = self.cache.peek(key) {
+                    if let Some(entry) = self.cache.peek(key, &canonical) {
                         token.complete();
                         parchmint_obs::count("serve.compile.replayed", 1);
                         return CompileOutcome::Hit(entry);
                     }
-                    let device = device.clone();
                     let compile = engine::compile_device(move || device, None, false);
                     parchmint_obs::count("serve.compile.executed", 1);
                     return match compile.compiled {
                         Ok(compiled) => {
-                            let entry = self.cache.insert(
-                                key,
-                                Arc::new(CacheEntry::new(doc.clone(), compiled, compile.wall)),
-                            );
+                            let entry =
+                                Arc::new(CacheEntry::new(canonical, compiled, compile.wall));
+                            let outcome = match self.cache.insert(key, Arc::clone(&entry)) {
+                                Some(resident) => CompileOutcome::Compiled(resident, compile.wall),
+                                None => CompileOutcome::Fresh(entry, compile.wall),
+                            };
                             token.complete();
-                            CompileOutcome::Compiled(entry, compile.wall)
+                            outcome
                         }
                         // The token drops unfinished → the flight is
                         // abandoned and every waiter retries for itself.
@@ -690,12 +761,37 @@ impl Service {
                 }
                 Flight::Waiter(wait) => {
                     self.cache.count_coalesced();
-                    // True → the leader published; retry the lookup.
-                    // False → the leader abandoned; retry the join and
-                    // possibly lead ourselves.
+                    // True → the leader published; false → it abandoned.
+                    // Either way look again, and lead on a miss.
                     let _ = wait.wait();
+                    match self.cache.lookup(key, &canonical) {
+                        Lookup::Hit(entry, _) => {
+                            parchmint_obs::count("serve.compile.replayed", 1);
+                            return CompileOutcome::Hit(entry);
+                        }
+                        Lookup::Collision => return self.compile_fresh(device, canonical, faults),
+                        Lookup::Miss => {}
+                    }
                 }
             }
+        }
+    }
+
+    /// Compiles `device` for one request alone, never publishing it.
+    fn compile_fresh(
+        &self,
+        device: Device,
+        canonical: String,
+        faults: Option<&Arc<FaultPlan>>,
+    ) -> CompileOutcome {
+        let compile = engine::compile_device(move || device, faults, false);
+        parchmint_obs::count("serve.compile.executed", 1);
+        match compile.compiled {
+            Ok(compiled) => CompileOutcome::Fresh(
+                Arc::new(CacheEntry::new(canonical, compiled, compile.wall)),
+                compile.wall,
+            ),
+            Err(panic) => CompileOutcome::Panicked(panic),
         }
     }
 
@@ -764,8 +860,9 @@ impl Service {
         if let Some(compiled) = entry.compiled() {
             return Ok(compiled);
         }
-        let device = Device::from_json_fast(&hash::canonical_string(entry.doc()))
-            .map_err(|e| format!("spilled design no longer parses: {e}"))?;
+        let device = self
+            .decode(entry.canonical())
+            .map_err(|e| format!("spilled design no longer parses: {}", e.message))?;
         let compile = engine::compile_device(move || device, None, false);
         parchmint_obs::count("serve.compile.executed", 1);
         compile.compiled.map(|compiled| entry.materialize(compiled))
@@ -830,22 +927,19 @@ impl Service {
     }
 }
 
-/// Re-parses a device's own serialization into the canonical document
+/// Re-parses a device's own serialization into the canonical text
 /// hashed for cache keying, so MINT and registry submissions share
 /// cache entries with the equivalent inline-JSON submission.
-fn device_document(device: &Device) -> Result<Value, WireError> {
-    let json = device.to_json().map_err(|e| {
+fn device_canonical(device: &Device) -> Result<String, WireError> {
+    fn unserializable(e: impl std::fmt::Display) -> WireError {
         WireError::new(
             ErrorKind::InvalidDesign,
             format!("unserializable design: {e}"),
         )
-    })?;
-    serde_json::from_str(&json).map_err(|e| {
-        WireError::new(
-            ErrorKind::InvalidDesign,
-            format!("unserializable design: {e}"),
-        )
-    })
+    }
+    let json = device.to_json().map_err(unserializable)?;
+    let doc = serde_json::parse_value(&json).map_err(unserializable)?;
+    Ok(hash::canonical_string(&doc))
 }
 
 #[cfg(test)]
@@ -1049,5 +1143,78 @@ mod tests {
         assert_eq!(stats["cache"]["memory_hits"], Value::from(1u64));
         assert_eq!(stats["cache"]["stage_hits"], Value::from(1u64));
         assert_eq!(stats["flights"]["compiles"], Value::from(0));
+    }
+
+    /// An inline-JSON submission of a registry design.
+    fn inline(benchmark: &str, stages: &[&str]) -> SubmitRequest {
+        let json = parchmint_suite::by_name(benchmark)
+            .expect("registered benchmark")
+            .device()
+            .to_json()
+            .expect("serializes");
+        SubmitRequest {
+            id: Value::from(benchmark),
+            source: DesignSource::Json(serde_json::parse_value(&json).expect("parses")),
+            stages: Some(stages.iter().map(|s| s.to_string()).collect()),
+            deadline_ms: None,
+            fuel: None,
+        }
+    }
+
+    /// The cells of a submission's events, without timings.
+    fn cells(events: &[Value]) -> Vec<Value> {
+        events
+            .iter()
+            .filter(|event| event["event"] == "cell")
+            .map(|event| event["cell"].clone())
+            .collect()
+    }
+
+    #[test]
+    fn colliding_designs_are_each_served_their_own_cells() {
+        let stages = ["validate", "characterize"];
+        let (or, and) = (
+            inline("logic_gate_or", &stages),
+            inline("logic_gate_and", &stages),
+        );
+        let reference = Service::new(ServeConfig::default());
+        let (or_cells, and_cells) = (
+            cells(&events_of(&reference, &or)),
+            cells(&events_of(&reference, &and)),
+        );
+        assert_ne!(or_cells, and_cells, "the designs must be told apart");
+
+        let service = Service::new(ServeConfig::default()).with_key_hook(|_| 7);
+        let first = events_of(&service, &or);
+        let collided = events_of(&service, &and);
+        let replayed = events_of(&service, &or);
+        assert_eq!(cells(&first), or_cells);
+        assert_eq!(
+            cells(&collided),
+            and_cells,
+            "never the other design's cells"
+        );
+        assert_eq!(collided.last().unwrap()["design"], "logic_gate_and");
+        assert_eq!(collided.last().unwrap()["cached"], false);
+        assert_eq!(cells(&replayed), or_cells);
+        assert_eq!(replayed.last().unwrap()["cached"], true, "a verified hit");
+
+        let stats = service.stats_json();
+        assert_eq!(stats["cache"]["collisions"], Value::from(1u64));
+        assert_eq!(stats["cache"]["entries"], Value::from(1), "and stays out");
+    }
+
+    #[test]
+    fn a_resubmitted_inline_design_is_decoded_only_on_its_miss() {
+        let service = Service::new(ServeConfig::default());
+        let request = inline("logic_gate_or", &["validate"]);
+        let decoded = || service.stats_json()["counters"]["serve.design.decoded"].as_u64();
+        parchmint_obs::with_recorder(service.collector(), || {
+            events_of(&service, &request);
+            assert_eq!(decoded(), Some(1));
+            let again = events_of(&service, &request);
+            assert_eq!(again.last().unwrap()["cached"], true);
+            assert_eq!(decoded(), Some(1), "a hit never decodes the design");
+        });
     }
 }

@@ -3,7 +3,10 @@
 //! One file per cached design, named by the same 16-hex-digit FNV-1a
 //! content hash that keys the in-memory tier, holding the canonical
 //! device document plus every recorded stage cell
-//! (`parchmint-spill/v1`). A daemon restarted with the same
+//! (`parchmint-spill/v1`). The cache holds that document as canonical
+//! text; the file embeds the same text as its `design` member, and a load
+//! re-prints the parsed member canonically, so the format is the same
+//! whether the writer held a tree or text. A daemon restarted with the same
 //! `--cache-dir` therefore serves warm resubmissions without
 //! recompiling anything: the entry is rehydrated from disk, its stages
 //! replay byte-identically, and the compile artifact itself is only
@@ -23,6 +26,7 @@
 //!   design simply recompiles and the bad file is overwritten by the
 //!   next store.
 
+use crate::hash;
 use parchmint_harness::{CellStatus, StageExec};
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
@@ -36,8 +40,8 @@ pub const SPILL_SCHEMA: &str = "parchmint-spill/v1";
 
 /// A stage map plus compile metadata rehydrated from one spill file.
 pub struct SpillEntry {
-    /// The canonical design document (the hash preimage).
-    pub doc: Value,
+    /// The canonical text of the design document (the hash preimage).
+    pub canonical: String,
     /// The original compile wall time, as recorded by the daemon that
     /// first compiled the design.
     pub compile_wall: Duration,
@@ -104,17 +108,17 @@ impl Spill {
         }
     }
 
-    /// Spills an entry: canonical document, compile wall time, and the
-    /// current stage snapshot. Atomic (tmp-then-rename) and best-effort
-    /// — a full disk loses persistence, never correctness.
+    /// Spills an entry: canonical document text, compile wall time, and
+    /// the current stage snapshot. Atomic (tmp-then-rename) and
+    /// best-effort — a full disk loses persistence, never correctness.
     pub fn store(
         &self,
         key_hex: &str,
-        doc: &Value,
+        canonical: &str,
         compile_wall: Duration,
         stages: &BTreeMap<String, StageExec>,
     ) {
-        let body = encode_entry(key_hex, doc, compile_wall, stages);
+        let body = encode_entry(key_hex, canonical, compile_wall, stages);
         let unique = self.seq.fetch_add(1, Ordering::Relaxed);
         let tmp = self
             .dir
@@ -143,20 +147,15 @@ fn write_synced(path: &Path, body: &[u8]) -> std::io::Result<()> {
     file.sync_all()
 }
 
+/// The entry as compact JSON with its members in sorted key order, the
+/// canonical `design` text spliced in verbatim — the same bytes as
+/// printing one object holding the parsed document.
 fn encode_entry(
     key_hex: &str,
-    doc: &Value,
+    canonical: &str,
     compile_wall: Duration,
     stages: &BTreeMap<String, StageExec>,
 ) -> String {
-    let mut object = Map::new();
-    object.insert("schema".to_string(), Value::from(SPILL_SCHEMA));
-    object.insert("key".to_string(), Value::from(key_hex));
-    object.insert("design".to_string(), doc.clone());
-    object.insert(
-        "compile_ms".to_string(),
-        Value::from(compile_wall.as_secs_f64() * 1e3),
-    );
     let mut cells = Map::new();
     for (name, exec) in stages {
         let mut cell = Map::new();
@@ -175,12 +174,23 @@ fn encode_entry(
         cell.insert("attempts".to_string(), Value::from(exec.attempts));
         cells.insert(name.clone(), Value::Object(cell));
     }
-    object.insert("stages".to_string(), Value::Object(cells));
-    serde_json::to_string(&Value::Object(object)).expect("spill entry serializes")
+    let mut out = String::with_capacity(canonical.len() + 256);
+    out.push_str("{\"compile_ms\":");
+    serde_json::write_value(&mut out, &Value::from(compile_wall.as_secs_f64() * 1e3));
+    out.push_str(",\"design\":");
+    out.push_str(canonical);
+    out.push_str(",\"key\":");
+    serde_json::write_value(&mut out, &Value::from(key_hex));
+    out.push_str(",\"schema\":");
+    serde_json::write_value(&mut out, &Value::from(SPILL_SCHEMA));
+    out.push_str(",\"stages\":");
+    serde_json::write_value(&mut out, &Value::Object(cells));
+    out.push('}');
+    out
 }
 
 fn decode_entry(text: &str, key_hex: &str) -> Option<SpillEntry> {
-    let value: Value = serde_json::from_str(text).ok()?;
+    let value = serde_json::parse_value(text).ok()?;
     let object = value.as_object()?;
     if object.get("schema")?.as_str()? != SPILL_SCHEMA {
         return None;
@@ -188,7 +198,7 @@ fn decode_entry(text: &str, key_hex: &str) -> Option<SpillEntry> {
     if object.get("key")?.as_str()? != key_hex {
         return None;
     }
-    let doc = object.get("design")?.clone();
+    let canonical = hash::canonical_string(object.get("design")?);
     let compile_ms = object.get("compile_ms")?.as_f64()?;
     if !compile_ms.is_finite() || compile_ms < 0.0 {
         return None;
@@ -222,7 +232,7 @@ fn decode_entry(text: &str, key_hex: &str) -> Option<SpillEntry> {
         );
     }
     Some(SpillEntry {
-        doc,
+        canonical,
         compile_wall: Duration::from_secs_f64(compile_ms / 1e3),
         stages,
     })
@@ -237,6 +247,15 @@ mod tests {
             std::env::temp_dir().join(format!("parchmint-spill-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The canonical text of an object of string members.
+    fn canonical(members: &[(&str, &str)]) -> String {
+        let object: Map = members
+            .iter()
+            .map(|(k, v)| (k.to_string(), Value::from(*v)))
+            .collect();
+        hash::canonical_string(&Value::Object(object))
     }
 
     fn sample_stages() -> BTreeMap<String, StageExec> {
@@ -268,10 +287,7 @@ mod tests {
     fn round_trips_an_entry() {
         let dir = temp_dir("roundtrip");
         let spill = Spill::open(&dir);
-        let doc = Value::Object(Map::from_iter([(
-            "name".to_string(),
-            Value::from("roundtrip"),
-        )]));
+        let doc = canonical(&[("name", "roundtrip")]);
         spill.store(
             "00000000deadbeef",
             &doc,
@@ -279,7 +295,7 @@ mod tests {
             &sample_stages(),
         );
         let loaded = spill.load("00000000deadbeef").expect("stored entry loads");
-        assert_eq!(loaded.doc, doc);
+        assert_eq!(loaded.canonical, doc);
         assert_eq!(loaded.stages.len(), 2);
         assert_eq!(loaded.stages["validate"].status, CellStatus::Ok);
         assert_eq!(loaded.stages["validate"].metrics["rules"], Value::from(12));
@@ -316,7 +332,7 @@ mod tests {
         assert!(spill.load("0000000000000003").is_none());
 
         // A file renamed under the wrong hash must not poison that key.
-        let doc = Value::Object(Map::new());
+        let doc = canonical(&[]);
         spill.store("000000000000000a", &doc, Duration::ZERO, &BTreeMap::new());
         fs::rename(
             dir.join("000000000000000a.json"),
@@ -336,10 +352,7 @@ mod tests {
         let dir = temp_dir("truncate");
         let spill = Spill::open(&dir);
         let key = "0000000000000042";
-        let doc = Value::Object(Map::from_iter([(
-            "name".to_string(),
-            Value::from("truncated"),
-        )]));
+        let doc = canonical(&[("name", "truncated")]);
         spill.store(key, &doc, Duration::from_millis(3), &sample_stages());
         let path = dir.join(format!("{key}.json"));
         let full = fs::read(&path).unwrap();
@@ -357,10 +370,56 @@ mod tests {
         let spill = Spill::open(&dir);
         fs::write(dir.join("00000000000000ff.json"), "garbage").unwrap();
         assert!(spill.load("00000000000000ff").is_none());
-        let doc = Value::Object(Map::new());
+        let doc = canonical(&[]);
         spill.store("00000000000000ff", &doc, Duration::ZERO, &sample_stages());
         let loaded = spill.load("00000000000000ff").expect("healed");
         assert_eq!(loaded.stages.len(), 2);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The file format predates text-holding entries: the spliced
+    /// encoding must equal printing one object that holds the parsed
+    /// design, byte for byte, so spill directories stay readable both
+    /// ways.
+    #[test]
+    fn spliced_encoding_matches_the_tree_encoding() {
+        let design = serde_json::json!({
+            "name": "spliced \"quoted\" \u{e9}",
+            "layers": [{"id": "f", "type": "FLOW"}],
+            "params": {"width": 2.5, "depth": -3, "huge": 1e16}
+        });
+        let canonical = hash::canonical_string(&design);
+        let stages = sample_stages();
+        let wall = Duration::from_micros(1234);
+
+        let mut object = Map::new();
+        object.insert("schema".to_string(), Value::from(SPILL_SCHEMA));
+        object.insert("key".to_string(), Value::from("00000000000000aa"));
+        object.insert("design".to_string(), design);
+        object.insert(
+            "compile_ms".to_string(),
+            Value::from(wall.as_secs_f64() * 1e3),
+        );
+        let mut cells = Map::new();
+        for (name, exec) in &stages {
+            let mut cell = Map::new();
+            cell.insert("status".to_string(), Value::from(exec.status.as_str()));
+            if let Some(detail) = &exec.detail {
+                cell.insert("detail".to_string(), Value::from(detail.clone()));
+            }
+            if !exec.metrics.is_empty() {
+                let metrics: Map = exec.metrics.clone().into_iter().collect();
+                cell.insert("metrics".to_string(), Value::Object(metrics));
+            }
+            cell.insert("attempts".to_string(), Value::from(exec.attempts));
+            cells.insert(name.clone(), Value::Object(cell));
+        }
+        object.insert("stages".to_string(), Value::Object(cells));
+        let tree = serde_json::to_string(&Value::Object(object)).unwrap();
+
+        let spliced = encode_entry("00000000000000aa", &canonical, wall, &stages);
+        assert_eq!(spliced, tree);
+        let loaded = decode_entry(&spliced, "00000000000000aa").expect("decodes");
+        assert_eq!(loaded.canonical, canonical);
     }
 }

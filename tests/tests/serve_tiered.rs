@@ -5,7 +5,7 @@
 //! plain misses.
 
 use parchmint_harness::{Stage, StageOutcome};
-use parchmint_serve::hash::{content_hash, hex};
+use parchmint_serve::hash::{canonical_hash, canonical_string, content_hash, hex};
 use parchmint_serve::protocol::{DesignSource, SubmitRequest};
 use parchmint_serve::{CacheEntry, ServeConfig, Service, TieredCache};
 use serde_json::Value;
@@ -135,16 +135,17 @@ fn memory_tier_evicts_least_recently_used_under_its_byte_budget() {
         ))
         .expect("doc parses")
     };
+    let canonical = |name: &str| canonical_string(&doc(name));
     let entry = |name: &str| {
         Arc::new(CacheEntry::warm(
-            doc(name),
+            canonical(name),
             Duration::ZERO,
             Default::default(),
         ))
     };
     let keys: Vec<u64> = ["a", "b", "c"]
         .iter()
-        .map(|n| content_hash(&doc(n)))
+        .map(|n| canonical_hash(&canonical(n)))
         .collect();
 
     // Budget sized for two entries: inserting the third must evict one.
@@ -155,7 +156,7 @@ fn memory_tier_evicts_least_recently_used_under_its_byte_budget() {
     assert!(cache.bytes() <= two_entries);
 
     // Touch "a" so "b" is the least recently used…
-    assert!(cache.lookup(keys[0]).is_some());
+    assert!(cache.lookup(keys[0], &canonical("a")).hit().is_some());
     cache.insert(keys[2], entry("c"));
 
     // …and exactly "b" went.
@@ -164,7 +165,10 @@ fn memory_tier_evicts_least_recently_used_under_its_byte_budget() {
     let counters = cache.counters();
     assert_eq!(counters.evicted_entries, 1);
     assert!(counters.evicted_bytes > 0);
-    assert!(cache.lookup(keys[1]).is_none(), "evicted entry is a miss");
+    assert!(
+        cache.lookup(keys[1], &canonical("b")).hit().is_none(),
+        "evicted entry is a miss"
+    );
 }
 
 /// A "restarted daemon" (a fresh `Service` over the same `--cache-dir`)
