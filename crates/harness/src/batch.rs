@@ -3,10 +3,10 @@
 //!
 //! This is the harness side of the FPVA-scale fan-out. A directory of
 //! device documents — or a multi-document submission in
-//! `parchmint-serve` — is chunked across the same worker-pool idiom the
-//! suite runner uses: a `std::thread::scope` over a shared index queue,
-//! no external thread-pool crate. Each document runs the streaming
-//! zero-copy parser ([`parchmint::Device::from_json_fast`]), the
+//! `parchmint-serve` — is chunked across [`shard_map`], the one worker
+//! pool the suite runner also uses: a `std::thread::scope` over a shared
+//! index queue, no external thread-pool crate. Each document runs the
+//! streaming zero-copy parser ([`parchmint::Device::from_json_fast`]), the
 //! panic-isolated compile ([`engine::compile_device`]), and — when
 //! requested — the standard `validate` stage under the caller's
 //! [`ExecPolicy`].
@@ -34,12 +34,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    }
-    .clamp(1, items.len().max(1));
+    let workers = pool_size(threads, items.len());
 
     let next: Mutex<usize> = Mutex::new(0);
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
@@ -63,6 +58,18 @@ where
     let mut collected = collected.into_inner().expect("result lock");
     collected.sort_by_key(|(index, _)| *index);
     collected.into_iter().map(|(_, result)| result).collect()
+}
+
+/// The worker count [`shard_map`] runs `items` work items on: `threads`,
+/// or one per available core when `threads == 0`, clamped to
+/// `1..=items`.
+pub(crate) fn pool_size(threads: usize, items: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
+    }
+    .clamp(1, items.max(1))
 }
 
 /// Configuration for [`ingest_batch`].

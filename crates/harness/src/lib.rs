@@ -13,8 +13,9 @@
 //!
 //! Design points:
 //!
-//! - **Worker pool without dependencies.** The sweep fans benchmarks across
-//!   `std::thread::scope` workers pulling from a shared index queue; no
+//! - **Worker pool without dependencies.** The sweep fans (benchmark,
+//!   stage) cells across `std::thread::scope` workers pulling from a
+//!   shared index queue ([`batch::shard_map`]), largest device first; no
 //!   external thread-pool crate is needed, and results are sorted after the
 //!   join so reports are identical for any thread count.
 //! - **Panic isolation.** Every stage runs under `catch_unwind`; a panicking

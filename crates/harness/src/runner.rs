@@ -1,18 +1,23 @@
 //! The parallel sweep: benchmarks × stages across a scoped worker pool.
 //!
-//! The runner owns only the *batch* concerns — fanning benchmarks across
-//! a worker pool, collecting cells, and rendering a deterministic report.
+//! The runner owns only the *batch* concerns — fanning (benchmark, stage)
+//! cells across a worker pool, compiling each benchmark's device once for
+//! its row, collecting cells, and rendering a deterministic report.
 //! How a single stage executes (budgets, retries, panic isolation,
 //! severity mapping) lives in [`crate::engine`], which the `parchmint
 //! serve` daemon shares; this module is one client of that engine.
 
+use crate::batch;
 use crate::engine::{self, ExecPolicy};
 use crate::matrix;
 use crate::report::{Cell, CellStatus, SuiteReport};
 use crate::stage::Stage;
+use parchmint::CompiledDevice;
 use parchmint_obs::TraceSummary;
 use parchmint_resilience::FaultPlan;
 use parchmint_suite::Benchmark;
+use std::cmp::Reverse;
+use std::panic::catch_unwind;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -232,76 +237,74 @@ pub fn run_suite(config: &SuiteRunConfig) -> SuiteReport {
 /// Sweeps `benchmarks` through `stages` under `config` — the single
 /// entry point both [`run_suite`] and direct matrix callers share.
 ///
-/// The pool is a `std::thread::scope` over a shared index queue — no
-/// external crates. Cell order in the result is sorted (benchmark name,
-/// then stage order), so the report is independent of scheduling. When
-/// `config` requests tracing, every compile and every stage runs under
-/// its own event collector and the report carries the aggregated
-/// summaries.
+/// The unit of work is one (benchmark, stage) cell, run on
+/// [`batch::shard_map`]'s worker pool. Rows are queued largest device
+/// first, each row's cells in stage order, so the slowest row starts at
+/// once and its cells spread over every worker instead of trailing the
+/// sweep on one. A row's device is generated and compiled when the first
+/// of its cells is claimed and released after its last cell finishes.
+/// Cell order in the result is sorted (benchmark name, then stage order),
+/// so the report is independent of scheduling. When `config` requests
+/// tracing, every compile and every stage runs under its own event
+/// collector and the report carries the aggregated summaries.
 pub fn run_matrix(
     benchmarks: &[Benchmark],
     stages: &[Stage],
     config: &SuiteRunConfig,
 ) -> SuiteReport {
     let started = Instant::now();
-    let workers = if config.threads() == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        config.threads()
-    }
-    .clamp(1, benchmarks.len().max(1));
-
-    let next: Mutex<usize> = Mutex::new(0);
-    let collected: Mutex<Vec<Cell>> = Mutex::new(Vec::new());
-    let compile_walls: Mutex<Vec<(String, Duration)>> = Mutex::new(Vec::new());
-    let compile_traces: Mutex<Vec<(String, TraceSummary)>> = Mutex::new(Vec::new());
+    let tracing = config.trace().is_some();
+    let policy = config.exec_policy();
+    let rows: Vec<Row> = benchmarks
+        .iter()
+        .map(|benchmark| Row::new(benchmark, config.faults(), stages.len()))
+        .collect();
+    let workers = batch::pool_size(config.threads(), rows.len() * stages.len());
 
     // The default panic hook would spam stderr with a backtrace for every
     // isolated stage failure; silence it for the sweep and restore after.
     let prior_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = {
-                    let mut next = next.lock().expect("queue lock");
-                    let index = *next;
-                    *next += 1;
-                    index
-                };
-                let Some(benchmark) = benchmarks.get(index) else {
-                    break;
-                };
-                let evaluated = evaluate_benchmark(benchmark, stages, config);
-                collected
-                    .lock()
-                    .expect("result lock")
-                    .extend(evaluated.cells);
-                if let Some(wall) = evaluated.compile_wall {
-                    compile_walls
-                        .lock()
-                        .expect("compile-time lock")
-                        .push((benchmark.name().to_string(), wall));
-                }
-                if let Some(trace) = evaluated.compile_trace {
-                    compile_traces
-                        .lock()
-                        .expect("compile-trace lock")
-                        .push((benchmark.name().to_string(), trace));
-                }
-            });
-        }
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    if workers > 1 && rows.len() > 1 {
+        // Size probe: generate each device once more and drop it, so only
+        // rows in flight hold a device. Generation is cheap next to the
+        // stages: the 18-benchmark suite generates in about 10 ms on a
+        // 2-core x86-64 container. A generator that panics sorts last and
+        // fails its row when the row is claimed.
+        let sizes: Vec<usize> = benchmarks
+            .iter()
+            .map(|b| catch_unwind(|| b.device().components.len()).unwrap_or(0))
+            .collect();
+        order.sort_by_key(|&row| Reverse(sizes[row]));
+    }
+    let units: Vec<(usize, usize)> = order
+        .into_iter()
+        .flat_map(|row| (0..stages.len()).map(move |stage| (row, stage)))
+        .collect();
+    let cells = batch::shard_map(&units, workers, |_, &(row, stage)| {
+        rows[row].run(&stages[stage], &policy, tracing)
     });
 
     std::panic::set_hook(prior_hook);
 
-    let mut compile_walls = compile_walls.into_inner().expect("compile-time lock");
+    let mut compile_walls = Vec::new();
+    let mut compile_traces = Vec::new();
+    for row in rows {
+        let name = row.benchmark.name().to_string();
+        let slot = row.slot.into_inner().expect("row lock");
+        if let RowDevice::Released = slot.device {
+            compile_walls.push((name.clone(), slot.wall));
+        }
+        if let Some(trace) = slot.trace {
+            compile_traces.push((name, trace));
+        }
+    }
     compile_walls.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut compile_traces = compile_traces.into_inner().expect("compile-trace lock");
     compile_traces.sort_by(|a, b| a.0.cmp(&b.0));
     let mut report = SuiteReport {
-        cells: collected.into_inner().expect("result lock"),
+        cells,
         stages: stages.iter().map(|s| s.name.clone()).collect(),
         threads: workers,
         total_wall: started.elapsed(),
@@ -312,82 +315,118 @@ pub fn run_matrix(
     report
 }
 
-/// What [`evaluate_benchmark`] hands back for one benchmark row.
-struct EvaluatedBenchmark {
-    cells: Vec<Cell>,
-    /// Generate+compile wall time; absent when generation panicked.
-    compile_wall: Option<Duration>,
-    /// Events recorded during generate+compile; absent unless tracing.
-    compile_trace: Option<TraceSummary>,
+/// One benchmark row of a sweep and its device's lifecycle.
+struct Row<'a> {
+    benchmark: &'a Benchmark,
+    /// The benchmark's slice of the fault plan; `None` when empty.
+    faults: Option<Arc<FaultPlan>>,
+    slot: Mutex<RowSlot>,
 }
 
-/// Runs the whole stage list on one benchmark, isolating each stage.
-///
-/// The device is generated and compiled into its shared view exactly once
-/// via [`engine::compile_device`]; every stage then borrows the same
-/// interned index and runs through [`engine::execute_stage`] under the
-/// configuration's [`ExecPolicy`] and the benchmark's slice of the fault
-/// plan. The severity→status mapping, panic isolation, and the
-/// deterministic attempt/seed retry schedule all live in the engine — the
-/// daemon's workers share them verbatim.
-fn evaluate_benchmark(
-    benchmark: &Benchmark,
-    stages: &[Stage],
-    config: &SuiteRunConfig,
-) -> EvaluatedBenchmark {
-    let tracing = config.trace().is_some();
-    let name = benchmark.name().to_string();
-    let plan: Option<Arc<FaultPlan>> = config.faults().and_then(|plan| {
-        let slice = plan.for_benchmark(&name);
-        (!slice.is_empty()).then(|| Arc::new(slice))
-    });
+struct RowSlot {
+    device: RowDevice,
+    /// Cells of the row not yet finished.
+    pending: usize,
+    /// Generate+compile wall time, once compiled.
+    wall: Duration,
+    /// Events recorded during generate+compile; absent unless tracing.
+    trace: Option<TraceSummary>,
+}
 
-    let compile = engine::compile_device(|| benchmark.device(), plan.as_ref(), tracing);
-    let compiled = match compile.compiled {
-        Ok(compiled) => compiled,
-        Err(message) => {
-            // Generator panicked: every cell of this row fails, explained.
-            let cells = stages
-                .iter()
-                .map(|stage| Cell {
-                    benchmark: name.clone(),
-                    stage: stage.name.clone(),
-                    status: CellStatus::Failed,
-                    detail: Some(format!("device generation panicked: {message}")),
-                    metrics: Default::default(),
-                    wall: compile.wall,
-                    trace: None,
-                })
-                .collect();
-            return EvaluatedBenchmark {
-                cells,
-                compile_wall: None,
-                compile_trace: compile.trace,
-            };
+enum RowDevice {
+    /// No cell of the row has been claimed yet.
+    Pending,
+    /// The shared view every stage of the row reads.
+    Compiled(Arc<CompiledDevice>),
+    /// Every cell finished and the view was dropped.
+    Released,
+    /// Generation or compilation panicked with this message.
+    Failed(String),
+}
+
+impl<'a> Row<'a> {
+    fn new(benchmark: &'a Benchmark, plan: Option<&FaultPlan>, cells: usize) -> Row<'a> {
+        let faults = plan.and_then(|plan| {
+            let slice = plan.for_benchmark(benchmark.name());
+            (!slice.is_empty()).then(|| Arc::new(slice))
+        });
+        Row {
+            benchmark,
+            faults,
+            slot: Mutex::new(RowSlot {
+                device: RowDevice::Pending,
+                pending: cells,
+                wall: Duration::ZERO,
+                trace: None,
+            }),
         }
-    };
+    }
 
-    let policy = config.exec_policy();
-    let cells = stages
-        .iter()
-        .map(|stage| {
-            let started = Instant::now();
-            let exec = engine::execute_stage(stage, &compiled, &policy, plan.as_ref(), tracing);
-            Cell {
-                benchmark: name.clone(),
-                stage: stage.name.clone(),
-                status: exec.status,
-                detail: exec.detail,
-                metrics: exec.metrics,
-                wall: started.elapsed(),
-                trace: exec.trace,
+    /// Runs one stage of the row, isolated.
+    ///
+    /// The first cell claimed generates and compiles the device via
+    /// [`engine::compile_device`] under the row's lock; every stage then
+    /// borrows the same interned index and runs through
+    /// [`engine::execute_stage`] under `policy` and the row's slice of the
+    /// fault plan. The severity→status mapping, panic isolation, and the
+    /// deterministic attempt/seed retry schedule all live in the engine —
+    /// the daemon's workers share them verbatim. A device that fails to
+    /// generate or compile fails every cell of its row, explained.
+    fn run(&self, stage: &Stage, policy: &ExecPolicy, tracing: bool) -> Cell {
+        let claimed = {
+            let mut slot = self.slot.lock().expect("row lock");
+            if let RowDevice::Pending = slot.device {
+                let exec = engine::compile_device(
+                    || self.benchmark.device(),
+                    self.faults.as_ref(),
+                    tracing,
+                );
+                slot.wall = exec.wall;
+                slot.trace = exec.trace;
+                slot.device = match exec.compiled {
+                    Ok(compiled) => RowDevice::Compiled(compiled),
+                    Err(message) => RowDevice::Failed(message),
+                };
             }
-        })
-        .collect();
-    EvaluatedBenchmark {
-        cells,
-        compile_wall: Some(compile.wall),
-        compile_trace: compile.trace,
+            match &slot.device {
+                RowDevice::Compiled(compiled) => Ok(Arc::clone(compiled)),
+                RowDevice::Failed(message) => Err((message.clone(), slot.wall)),
+                RowDevice::Pending | RowDevice::Released => {
+                    unreachable!("a row is released only after its last cell")
+                }
+            }
+        };
+        let cell = match claimed {
+            Ok(compiled) => {
+                let started = Instant::now();
+                let exec =
+                    engine::execute_stage(stage, &compiled, policy, self.faults.as_ref(), tracing);
+                Cell {
+                    benchmark: self.benchmark.name().to_string(),
+                    stage: stage.name.clone(),
+                    status: exec.status,
+                    detail: exec.detail,
+                    metrics: exec.metrics,
+                    wall: started.elapsed(),
+                    trace: exec.trace,
+                }
+            }
+            Err((message, wall)) => Cell {
+                benchmark: self.benchmark.name().to_string(),
+                stage: stage.name.clone(),
+                status: CellStatus::Failed,
+                detail: Some(format!("device generation panicked: {message}")),
+                metrics: Default::default(),
+                wall,
+                trace: None,
+            },
+        };
+        let mut slot = self.slot.lock().expect("row lock");
+        slot.pending -= 1;
+        if slot.pending == 0 && matches!(slot.device, RowDevice::Compiled(_)) {
+            slot.device = RowDevice::Released;
+        }
+        cell
     }
 }
 
@@ -609,6 +648,66 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn one_benchmark_spreads_its_cells_over_every_worker() {
+        let run = |threads: usize| {
+            let config = SuiteRunConfig::builder()
+                .threads(threads)
+                .benchmarks(["rotary_pump_mixer"])
+                .build();
+            run_suite(&config)
+        };
+        let (one, two) = (run(1), run(2));
+        assert_eq!(one.threads, 1);
+        assert_eq!(two.threads, 2, "workers are clamped to cells, not rows");
+        assert_eq!(one.to_json_string(false), two.to_json_string(false));
+    }
+
+    #[test]
+    fn failed_compile_fails_only_its_row() {
+        let mut plan = FaultPlan::new();
+        plan.push(FaultSpec {
+            benchmark: Some("logic_gate_or".into()),
+            site: "ir.compile".into(),
+            fault: FaultKind::Panic,
+        });
+        let benchmarks: Vec<Benchmark> = parchmint_suite::suite()
+            .into_iter()
+            .filter(|b| {
+                ["logic_gate_and", "logic_gate_or", "rotary_pump_mixer"].contains(&b.name())
+            })
+            .collect();
+        let stages = standard_stages();
+        let run = |threads: usize| {
+            let config = SuiteRunConfig::builder()
+                .threads(threads)
+                .faults(plan.clone())
+                .build();
+            run_matrix(&benchmarks, &stages, &config)
+        };
+        let clean = run_matrix(&benchmarks, &stages, &untraced(2));
+        let (one, two) = (run(1), run(2));
+        assert_eq!(one.to_json_string(false), two.to_json_string(false));
+        assert_eq!(two.cells.len(), benchmarks.len() * stages.len());
+        for cell in &two.cells {
+            if cell.benchmark == "logic_gate_or" {
+                assert_eq!(cell.status, CellStatus::Failed, "{}", cell.key());
+                assert_eq!(
+                    cell.detail.as_deref(),
+                    Some("device generation panicked: injected fault: panic at ir.compile")
+                );
+            } else {
+                let reference = clean.cell(&cell.benchmark, &cell.stage).unwrap();
+                assert_eq!(cell.status, CellStatus::Ok, "{}", cell.key());
+                assert_eq!(cell.metrics, reference.metrics, "{}", cell.key());
+            }
+        }
+        let compiled: Vec<&str> = two.compile_walls.iter().map(|(b, _)| b.as_str()).collect();
+        assert_eq!(compiled, ["logic_gate_and", "rotary_pump_mixer"]);
+        let timing = two.to_json(true);
+        assert!(timing["timing"]["compile"].get("logic_gate_or").is_none());
     }
 
     #[test]

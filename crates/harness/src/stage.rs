@@ -132,9 +132,7 @@ fn pnr_stage(
     router: RouterChoice,
     ctx: &StageCtx,
 ) -> Result<StageOutcome, PipelineError> {
-    // PnR annotates the device with features; work on a private copy.
-    let mut device = compiled.device().clone();
-    let resilient = place_and_route_resilient(&mut device, placer, router, ctx.attempt)?;
+    let resilient = place_and_route_resilient(compiled, placer, router, ctx.attempt)?;
     let report = &resilient.report;
     let metrics: BTreeMap<String, Value> = [
         ("components", Value::from(report.components)),

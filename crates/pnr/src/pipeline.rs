@@ -157,9 +157,18 @@ pub struct ResilientPnr {
     /// Fallbacks and partial results taken along the way; empty means the
     /// primary algorithms ran to completion.
     pub degradations: Vec<Degradation>,
+    /// The physical design: the input device carrying placement features
+    /// for every component and route features for every routed net.
+    pub device: Device,
 }
 
-/// Places and routes `device` with graceful degradation.
+/// Places and routes the device behind `compiled` with graceful
+/// degradation.
+///
+/// Placement reads the caller's compiled view directly, so one shared view
+/// serves every placer×router run of a device. The device is copied once,
+/// to apply the placement; that copy is compiled for routing and returned,
+/// routed, in [`ResilientPnr::device`].
 ///
 /// The fallback chains are fixed: a panicking or interrupted annealing
 /// placer falls back to greedy (an interrupted anneal keeps its legal
@@ -174,7 +183,7 @@ pub struct ResilientPnr {
 /// Errors are [`PipelineError::fatal`] only when the baseline fallback
 /// itself fails — there is nothing further to degrade to.
 pub fn place_and_route_resilient(
-    device: &mut Device,
+    compiled: &CompiledDevice,
     placer: PlacerChoice,
     router: RouterChoice,
     attempt: u32,
@@ -183,12 +192,11 @@ pub fn place_and_route_resilient(
     let p = placer.placer_for_attempt(attempt);
     let r = router.router();
 
-    let unplaced = CompiledDevice::from_ref(device);
     let interrupted_before_place = interruption().is_some();
     let t0 = Instant::now();
     let placement = {
         let _span = parchmint_obs::Span::enter("pnr.place");
-        match attempt_place(p.as_ref(), &unplaced) {
+        match attempt_place(p.as_ref(), compiled) {
             Ok(placement) => {
                 if !interrupted_before_place {
                     if let Some(reason) = interruption() {
@@ -207,7 +215,7 @@ pub fn place_and_route_resilient(
                     phase: "place",
                     action: format!("annealing panicked ({message}); fell back to greedy"),
                 });
-                attempt_place(&GreedyPlacer::new(), &unplaced).map_err(|fallback| {
+                attempt_place(&GreedyPlacer::new(), compiled).map_err(|fallback| {
                     PipelineError::fatal(format!("fallback greedy placer panicked: {fallback}"))
                         .with_hint("no further placement fallback exists")
                 })?
@@ -221,9 +229,10 @@ pub fn place_and_route_resilient(
         }
     };
     let place_time = t0.elapsed();
-    placement.apply_to(device);
+    let mut device = compiled.device().clone();
+    placement.apply_to(&mut device);
 
-    let placed = CompiledDevice::from_ref(device);
+    let placed = CompiledDevice::compile(device);
     let t1 = Instant::now();
     let mut effective_router = r.name();
     let routing = {
@@ -285,7 +294,6 @@ pub fn place_and_route_resilient(
         }
     };
     let route_time = t1.elapsed();
-    routing.apply_to(device);
 
     let nets = routing.routed.len() + routing.failed.len();
     if nets > 0 && routing.routed.is_empty() && interruption().is_none() {
@@ -295,8 +303,10 @@ pub fn place_and_route_resilient(
         );
     }
 
+    // The report reads the placed view, which routing does not change, so
+    // the routes go onto the same device only afterwards.
     let report = PnrReport::from_run(
-        &device.name,
+        &placed.device().name,
         p.name(),
         effective_router,
         &placed,
@@ -305,9 +315,12 @@ pub fn place_and_route_resilient(
         place_time,
         route_time,
     );
+    let mut device = placed.into_device();
+    routing.apply_to(&mut device);
     Ok(ResilientPnr {
         report,
         degradations,
+        device,
     })
 }
 

@@ -72,6 +72,9 @@ impl Cost<'_> {
 /// Direction index of the start state, which has no arrival direction.
 const NO_DIR: usize = 4;
 
+/// `prev` entry of the start state, which has no predecessor.
+const NO_PREV: u8 = u8::MAX;
+
 /// Reusable A* scratch over one grid's geometry; see the module docs.
 pub(crate) struct Search {
     cols: i64,
@@ -82,9 +85,11 @@ pub(crate) struct Search {
     /// known cost in the low 32. A score counts only under the current
     /// generation; any other stamp reads as unreached.
     best: Vec<u64>,
-    /// Per state: predecessor state, `u32::MAX` at the start state. Valid
-    /// only where `best` carries the current generation.
-    prev: Vec<u32>,
+    /// Per state: the arrival direction of its predecessor state, whose
+    /// cell is this state's cell stepped back along this state's own
+    /// direction; [`NO_PREV`] at the start state. Valid only where `best`
+    /// carries the current generation.
+    prev: Vec<u8>,
     generation: u32,
     /// Keys `f << 32 | state`: one integer compare orders by `(f, state)`.
     heap: BinaryHeap<Reverse<u64>>,
@@ -169,7 +174,7 @@ impl Search {
         self.heap.clear();
         let start_state = (start.1 * cols + start.0) as usize * 5 + NO_DIR;
         self.best[start_state] = stamp;
-        self.prev[start_state] = u32::MAX;
+        self.prev[start_state] = NO_PREV;
         self.touched += 1;
         self.heap.push(Reverse(
             (u64::from(h(start.0, start.1)) << 32) | start_state as u64,
@@ -216,7 +221,7 @@ impl Search {
                 if ng < if reached { entry as u32 } else { u32::MAX } {
                     self.touched += u64::from(!reached);
                     self.best[ns] = stamp | u64::from(ng);
-                    self.prev[ns] = s as u32;
+                    self.prev[ns] = dir as u8;
                     let f = ng.saturating_add(h(nx, ny));
                     self.heap.push(Reverse((u64::from(f) << 32) | ns as u64));
                 }
@@ -227,15 +232,15 @@ impl Search {
 
     /// Walks `prev` back from `goal_state`, one entry per distinct cell.
     fn path_to(&self, goal_state: usize) -> Vec<(i64, i64)> {
-        let xy = |s: usize| {
-            let cell = (s / 5) as i64;
-            (cell % self.cols, cell / self.cols)
-        };
-        let mut path = vec![xy(goal_state)];
+        let xy = |cell: i64| (cell % self.cols, cell / self.cols);
+        let mut cell = (goal_state / 5) as i64;
+        let mut path = vec![xy(cell)];
         let mut cur = goal_state;
-        while self.prev[cur] != u32::MAX {
-            cur = self.prev[cur] as usize;
-            let p = xy(cur);
+        while self.prev[cur] != NO_PREV {
+            let (dx, dy) = DIRS[cur % 5];
+            cell -= dy * self.cols + dx;
+            cur = cell as usize * 5 + usize::from(self.prev[cur]);
+            let p = xy(cell);
             if path.last() != Some(&p) {
                 path.push(p);
             }

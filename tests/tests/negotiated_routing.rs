@@ -4,6 +4,7 @@
 //! budget, and feeds a Pareto sweep that is byte-stable across thread
 //! counts.
 
+use parchmint::CompiledDevice;
 use parchmint_harness::{pareto_json_string, pareto_rows, run_suite, SuiteRunConfig};
 use parchmint_pnr::{place_and_route, place_and_route_resilient, PlacerChoice, RouterChoice};
 use parchmint_resilience::Budget;
@@ -64,16 +65,12 @@ fn tripped_budget_keeps_the_last_fully_legal_iteration() {
     // trips, so no rip-up iteration ever completes and the router must fall
     // back to the legal subset of what it had — here, nothing — rather
     // than emit a conflicted partial routing or swap algorithms.
-    let mut device = parchmint_suite::by_name("logic_gate_and").unwrap().device();
+    let device =
+        CompiledDevice::compile(parchmint_suite::by_name("logic_gate_and").unwrap().device());
     let budget = Budget::unlimited().with_fuel(1);
     let resilient = budget
         .enter(|| {
-            place_and_route_resilient(
-                &mut device,
-                PlacerChoice::Greedy,
-                RouterChoice::Negotiate,
-                0,
-            )
+            place_and_route_resilient(&device, PlacerChoice::Greedy, RouterChoice::Negotiate, 0)
         })
         .expect("interruption degrades, it does not error");
     let route_degradations: Vec<&str> = resilient

@@ -92,6 +92,19 @@ fn trace_covers_every_instrumented_subsystem() {
     assert_eq!(pnr["spans"]["pnr.place"].as_u64(), Some(1));
     assert_eq!(pnr["spans"]["pnr.route"].as_u64(), Some(1));
 
+    // Place-and-route reads the row's shared view and compiles only its
+    // one placed copy: exactly one `ir.compile` per traced pnr cell.
+    let pnr_cells: Vec<_> = cells
+        .as_object()
+        .unwrap()
+        .iter()
+        .filter(|(key, _)| key.contains("/pnr:"))
+        .collect();
+    assert_eq!(pnr_cells.len(), 12, "six pnr cells per benchmark");
+    for (key, cell) in pnr_cells {
+        assert_eq!(cell["spans"]["ir.compile"].as_u64(), Some(1), "{key}");
+    }
+
     // Flow simulation: solver iteration and residual telemetry.
     let flow = &cells[format!("{bench}/flow").as_str()];
     assert!(flow["counters"]["sim.linear.iterations"].as_u64().unwrap() > 0);

@@ -154,9 +154,7 @@ fn flow_solver_stops_within_one_check_interval_of_fuel_exhaustion() {
 
 #[test]
 fn degraded_pnr_keeps_the_partial_anneal_and_falls_back_to_straight() {
-    let mut device = parchmint_suite::by_name("rotary_pump_mixer")
-        .expect("registered benchmark")
-        .device();
+    let device = compiled("rotary_pump_mixer");
     // A single unit of fuel lets the pipeline start cleanly and trips the
     // budget inside the annealing loop, so the interruption is attributed
     // to the place phase (a budget exhausted *before* the pipeline starts
@@ -164,7 +162,7 @@ fn degraded_pnr_keeps_the_partial_anneal_and_falls_back_to_straight() {
     let budget = Budget::unlimited().with_fuel(1);
     let outcome = budget.enter(|| {
         parchmint_pnr::place_and_route_resilient(
-            &mut device,
+            &device,
             PlacerChoice::Annealing,
             RouterChoice::AStar,
             0,
@@ -179,7 +177,7 @@ fn degraded_pnr_keeps_the_partial_anneal_and_falls_back_to_straight() {
         .contains("fell back to straight-line"));
     // The straight-line fallback is meter-free, so the degraded run still
     // produces a routed device.
-    assert!(device.is_placed());
+    assert!(resilient.device.is_placed());
     assert!(resilient.report.routed > 0, "straight fallback routed nets");
 }
 
